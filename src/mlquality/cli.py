@@ -19,8 +19,6 @@ import sys
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
-import yaml
-
 from .analytics import (
     compliance_by_subcharacteristic,
     compliance_csv,
@@ -30,10 +28,11 @@ from .analytics import (
     score_distribution,
 )
 from .assessment import parse_assessment
-from .errors import GapFileError, MlQualityError, ModelConfigError
+from .errors import GapFileError, MlQualityError, ModelConfigError, MultiProblemError
 from .form import questionnaire_template
 from .model import QualityModel, load_quality_model, validate_model
 from .registry import (
+    check_field,
     fleet_percentiles,
     infer_gaps,
     load_overrides,
@@ -55,6 +54,7 @@ from .store import (
     persist_assessment,
     sanitize_component,
 )
+from .yamldoc import load_yaml
 
 logger = logging.getLogger(__name__)
 
@@ -75,25 +75,24 @@ def _read_text(path: str) -> str:
 
 
 def _load_usage(path: str) -> SystemUsage:
-    document = yaml.safe_load(_read_text(path))
+    where = f"usage file {path}"
+    document = load_yaml(
+        _read_text(path), lambda message: MlQualityError(f"{where}: {message}")
+    )
     if not isinstance(document, dict):
-        raise MlQualityError(f"usage file {path} must be a mapping")
+        raise MlQualityError(f"{where} must be a mapping")
     known = {f.name for f in dataclass_fields(SystemUsage)}
     unknown = sorted(set(document) - known)
     if unknown:
-        raise MlQualityError(
-            f"usage file {path}: unknown fields: {', '.join(unknown)}"
-        )
-    for name in ("strategic", "in_production"):
-        if name in document and not isinstance(document[name], bool):
-            raise MlQualityError(f"usage file {path}: {name} must be a boolean")
-    for name in ("requests_per_day", "dependent_consumers", "revenue_share"):
-        value = document.get(name)
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
-            raise MlQualityError(f"usage file {path}: {name} must be a number")
-    return SystemUsage(**document)
+        raise MlQualityError(f"{where}: unknown fields: {', '.join(unknown)}")
+    # as in a registry record, null means no evidence: the default applies
+    values = {name: value for name, value in document.items() if value is not None}
+    problems: list[str] = []
+    for name, value in values.items():
+        check_field(name, value, problems, where)
+    if problems:
+        raise MultiProblemError(problems)
+    return SystemUsage(**values)
 
 
 def _store_root(args) -> Path:
@@ -118,6 +117,10 @@ def cmd_assess(args) -> int:
             "or both --usage and --fleet"
         )
     family = tuple(args.family.split(",")) if args.family else ()
+    if family and args.system not in family:
+        raise MlQualityError(
+            f"--family {args.family} must include --system {args.system}"
+        )
     assessment = parse_assessment(
         _read_text(args.gaps),
         model,
@@ -196,8 +199,9 @@ def cmd_history(args) -> int:
     return 0
 
 
-def _latest_result_per_system(store, rows, keep):
-    """Load the newest stored result per system among rows passing `keep`."""
+def _latest_per_system(rows, keep) -> list[tuple[str, str, dt.date]]:
+    """(team, system, date) of the newest row per system among rows passing
+    `keep`, sorted by team and system."""
     picked: dict[tuple[str, str], dt.date] = {}
     for row in rows:
         if not keep(row.date):
@@ -205,10 +209,7 @@ def _latest_result_per_system(store, rows, keep):
         key = (row.team, row.system)
         if key not in picked or row.date > picked[key]:
             picked[key] = row.date
-    return [
-        load_assessment(store, team, system, date=date)
-        for (team, system), date in sorted(picked.items())
-    ]
+    return [(team, system, date) for (team, system), date in sorted(picked.items())]
 
 
 def cmd_fleet(args) -> int:
@@ -228,13 +229,20 @@ def cmd_fleet(args) -> int:
     written = ["distribution.csv", "trend.svg"]
 
     if args.before is not None:
-        before = _latest_result_per_system(store, rows, lambda d: d <= args.before)
-        after = _latest_result_per_system(store, rows, lambda d: d >= args.after)
+        before = _latest_per_system(rows, lambda d: d <= args.before)
+        after = _latest_per_system(rows, lambda d: d >= args.after)
         if not before or not after:
             raise MlQualityError(
                 "before/after dates leave an empty cohort; nothing to compare"
             )
-        compliance = compliance_by_subcharacteristic(before, after)
+        # a snapshot picked by both cohorts is loaded once and shared
+        results = {
+            (team, system, date): load_assessment(store, team, system, date=date)
+            for team, system, date in dict.fromkeys(before + after)
+        }
+        compliance = compliance_by_subcharacteristic(
+            [results[key] for key in before], [results[key] for key in after]
+        )
         (out / "compliance.csv").write_text(
             compliance_csv(compliance), encoding="utf-8"
         )

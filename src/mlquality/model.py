@@ -9,13 +9,15 @@ fixed in this schema version.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
+from functools import cached_property
 from pathlib import Path
 
-import yaml
-
 from .errors import ModelConfigError
+from .yamldoc import load_yaml
 
 LEVELS = (1, 2, 3, 4, 5)
 
@@ -119,6 +121,9 @@ class QualityModel:
     `matrix` maps attribute id to its five demands for levels 1..5;
     `remediation_texts` maps attribute id to the standard recommendation
     emitted when the attribute has a gap.
+
+    A model is never changed after construction: the derived views below
+    (ids, rows per characteristic, fingerprint) are built once and kept.
     """
 
     sub_characteristics: tuple[SubCharacteristic, ...]
@@ -127,20 +132,44 @@ class QualityModel:
     characteristic_descriptions: dict[Characteristic, str]
 
     def __post_init__(self):
+        subs = self.sub_characteristics
+        rows: dict[Characteristic, list[SubCharacteristic]] = {}
+        for sub in subs:
+            rows.setdefault(sub.characteristic, []).append(sub)
+        object.__setattr__(self, "_by_id", {sub.id: sub for sub in subs})
+        object.__setattr__(self, "_ids", tuple(sub.id for sub in subs))
+        object.__setattr__(self, "_characteristics", tuple(rows))
         object.__setattr__(
-            self, "_by_id", {sub.id: sub for sub in self.sub_characteristics}
+            self, "_rows", {key: tuple(members) for key, members in rows.items()}
         )
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(sub.id for sub in self.sub_characteristics)
+        return self._ids
 
     @property
     def characteristics(self) -> tuple[Characteristic, ...]:
-        seen: dict[Characteristic, None] = {}
-        for sub in self.sub_characteristics:
-            seen.setdefault(sub.characteristic, None)
-        return tuple(seen)
+        return self._characteristics
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content hash of everything in the model that affects results."""
+        payload = {
+            "sub_characteristics": [
+                {
+                    "id": sub.id,
+                    "characteristic": sub.characteristic.value,
+                    "minimal_requirement": sub.minimal_requirement,
+                    "full_requirement": sub.full_requirement,
+                    "reasoning": sub.reasoning,
+                    "remediation": self.remediation_texts.get(sub.id, ""),
+                    "demands": [demand.token for demand in self.matrix[sub.id]],
+                }
+                for sub in self.sub_characteristics
+            ]
+        }
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def sub(self, sub_id: str) -> SubCharacteristic:
         return self._by_id[sub_id]
@@ -152,10 +181,7 @@ class QualityModel:
         return self.matrix[sub_id][level - 1]
 
     def rows_of(self, characteristic: Characteristic) -> tuple[SubCharacteristic, ...]:
-        return tuple(
-            sub for sub in self.sub_characteristics
-            if sub.characteristic is characteristic
-        )
+        return self._rows.get(characteristic, ())
 
     def legal_gaps(self, sub_id: str) -> tuple[Gap, ...]:
         """Gap values an attribute may take; SMALL needs a minimal requirement."""
@@ -258,10 +284,7 @@ def load_quality_model(source: str | Path | None = None) -> QualityModel:
     if source is None:
         return model
     text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
-    try:
-        document = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ModelConfigError(f"invalid YAML: {exc}") from exc
+    document = load_yaml(text, ModelConfigError)
     if document is None:
         return model
     if not isinstance(document, dict):

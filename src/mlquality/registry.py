@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import datetime as dt
 import logging
+import math
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
-
-import yaml
 
 from .assessment import Assessment, GapEntry
 from .errors import OverrideError, SnapshotError
 from .model import GAP_ALIASES, Gap, QualityModel
 from .percentiles import nearest_rank
 from .scoring import FleetStats, SystemUsage
+from .yamldoc import load_yaml
 
 logger = logging.getLogger(__name__)
 
@@ -126,8 +126,12 @@ _COUNT_FIELDS = ("requests_per_day", "dependent_consumers")
 _TEXT_FIELDS = ("system_id", "team", "owner_team")
 
 
-def _check_field(name: str, value, problems: list[str], where: str) -> bool:
-    """Validate one metadata field; append problems, return acceptance."""
+def check_field(name: str, value, problems: list[str], where: str) -> bool:
+    """Validate one metadata field; append problems, return acceptance.
+
+    Also validates the usage facts file, whose fields share their names
+    with the registry's.
+    """
     if name in _ENUM_FIELDS:
         if value not in _ENUM_FIELDS[name]:
             problems.append(
@@ -144,6 +148,9 @@ def _check_field(name: str, value, problems: list[str], where: str) -> bool:
     if name in _FRACTION_FIELDS or name in _NONNEGATIVE_FIELDS:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             problems.append(f"{where}: {name} must be a number, got {value!r}")
+            return False
+        if not math.isfinite(value):
+            problems.append(f"{where}: {name} must be a finite number, got {value!r}")
             return False
         if value < 0:
             problems.append(f"{where}: {name} must be >= 0, got {value!r}")
@@ -170,10 +177,7 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
     are hard errors.
     """
     text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
-    try:
-        document = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise SnapshotError(f"invalid YAML: {exc}") from exc
+    document = load_yaml(text, SnapshotError)
     if not isinstance(document, dict):
         raise SnapshotError("snapshot document must be a mapping")
     if document.get("schema_version") != SCHEMA_VERSION:
@@ -186,7 +190,12 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
 
     snapshot_date = document.get("snapshot_date")
     if isinstance(snapshot_date, str):
-        snapshot_date = dt.date.fromisoformat(snapshot_date)
+        try:
+            snapshot_date = dt.date.fromisoformat(snapshot_date)
+        except ValueError as exc:
+            raise SnapshotError(
+                f"snapshot_date must be a date, got {snapshot_date!r}"
+            ) from exc
     elif isinstance(snapshot_date, dt.datetime):
         snapshot_date = snapshot_date.date()
     elif snapshot_date is not None and not isinstance(snapshot_date, dt.date):
@@ -212,7 +221,7 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
                 continue
             if value is None:
                 continue
-            if _check_field(name, value, problems, where):
+            if check_field(name, value, problems, where):
                 values[name] = value
         if "system_id" not in values or "team" not in values:
             problems.append(f"{where}: system_id and team are required")
@@ -613,7 +622,15 @@ def _parse_overrides_entry(raw: dict, where: str, problems: list[str]) -> Manual
         if not isinstance(pinned, dict) or "gap" not in pinned:
             problems.append(f"{where}: extra.{sub_id} must be a mapping with a gap")
             continue
-        gap = GAP_ALIASES.get(str(pinned["gap"]).lower())
+        token = pinned["gap"]
+        if token is True:
+            problems.append(
+                f"{where}: extra.{sub_id}: gap reads as the boolean true; "
+                'quote the gap token, e.g. gap: "no"'
+            )
+            continue
+        # an unquoted `gap: no` reads as the boolean false
+        gap = Gap.NO_GAP if token is False else GAP_ALIASES.get(str(token).lower())
         if gap is None:
             problems.append(f"{where}: extra.{sub_id}: malformed gap token {pinned['gap']!r}")
             continue
@@ -650,10 +667,7 @@ def load_overrides(source: str | Path | None) -> OverridesDocument:
     if source is None:
         return OverridesDocument(defaults=ManualOverrides(), per_system={})
     text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
-    try:
-        document = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise OverrideError(f"invalid YAML: {exc}") from exc
+    document = load_yaml(text, OverrideError)
     if document is None:
         return OverridesDocument(defaults=ManualOverrides(), per_system={})
     if not isinstance(document, dict):

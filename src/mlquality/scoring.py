@@ -105,6 +105,10 @@ def quality_score(assessment: Assessment, model: QualityModel) -> int:
     attribute.
     """
     check_gaps_total(assessment, model)
+    return _quality_score(assessment, model)
+
+
+def _quality_score(assessment: Assessment, model: QualityModel) -> int:
     total = sum(entry.gap for entry in assessment.gaps.values())
     return _floor_score(total, len(model.ids))
 
@@ -118,6 +122,12 @@ def characteristic_scores(
     one characteristic; these are the radar chart axis values.
     """
     check_gaps_total(assessment, model)
+    return _characteristic_scores(assessment, model)
+
+
+def _characteristic_scores(
+    assessment: Assessment, model: QualityModel
+) -> dict[Characteristic, int]:
     scores: dict[Characteristic, int] = {}
     for characteristic in model.characteristics:
         rows = model.rows_of(characteristic)
@@ -144,6 +154,10 @@ def maturity_level(assessment: Assessment, model: QualityModel) -> int:
     1..5 and the highest one is well-defined.
     """
     check_gaps_total(assessment, model)
+    return _maturity_level(assessment, model)
+
+
+def _maturity_level(assessment: Assessment, model: QualityModel) -> int:
     for level in reversed(MATURITY_LEVELS):
         if satisfies_level(assessment, level, model):
             return level
@@ -217,7 +231,14 @@ def classify_gaps(
     """
     if required not in (1, 3, 5):
         raise ValueError(f"required maturity must be one of 1, 3, 5, got {required}")
-    maturity = maturity_level(assessment, model)
+    return _classify_gaps(
+        assessment, model, maturity_level(assessment, model), required
+    )
+
+
+def _classify_gaps(
+    assessment: Assessment, model: QualityModel, maturity: int, required: int
+) -> dict[str, GapColor]:
     colors: dict[str, GapColor] = {}
     for sub_id, entry in assessment.gaps.items():
         if entry.gap is Gap.NO_GAP or maturity == 5:
@@ -247,9 +268,9 @@ def recommendations(
     Ordered red before orange before yellow, ties broken by catalog row
     order, so the list is deterministic.
     """
-    row_index = {sub_id: index for index, sub_id in enumerate(model.ids)}
     gapped = [sub_id for sub_id in model.ids if colors[sub_id] is not GapColor.GREEN]
-    gapped.sort(key=lambda sub_id: (_SEVERITY[colors[sub_id]], row_index[sub_id]))
+    # stable sort: ties keep catalog row order
+    gapped.sort(key=lambda sub_id: _SEVERITY[colors[sub_id]])
     return tuple(
         Recommendation(
             sub_characteristic=sub_id,
@@ -264,18 +285,20 @@ def evaluate(assessment: Assessment, model: QualityModel) -> AssessmentResult:
     """Derive the full result bundle for one assessment.
 
     The assessment must carry its business criticality; use
-    `determine_criticality` or supply it manually first.
+    `determine_criticality` or supply it manually first. Totality is
+    checked and maturity computed once, then shared by every figure.
     """
     if assessment.criticality is None:
         raise ValueError("assessment has no business criticality attached")
     check_gaps_total(assessment, model)
     required = required_maturity(assessment.criticality)
-    colors = classify_gaps(assessment, model, required)
+    maturity = _maturity_level(assessment, model)
+    colors = _classify_gaps(assessment, model, maturity, required)
     return AssessmentResult(
         assessment=assessment,
-        quality_score=quality_score(assessment, model),
-        characteristic_scores=characteristic_scores(assessment, model),
-        maturity=maturity_level(assessment, model),
+        quality_score=_quality_score(assessment, model),
+        characteristic_scores=_characteristic_scores(assessment, model),
+        maturity=maturity,
         required_maturity=required,
         colors=colors,
         recommendations=recommendations(assessment, colors, model),

@@ -11,7 +11,6 @@ newline-terminated), which is what makes re-persisting a no-op.
 from __future__ import annotations
 
 import datetime as dt
-import hashlib
 import json
 import logging
 import os
@@ -72,23 +71,11 @@ def sanitize_component(name: str) -> str:
 
 
 def model_fingerprint(model: QualityModel) -> str:
-    """Content hash of everything in the model that affects results."""
-    payload = {
-        "sub_characteristics": [
-            {
-                "id": sub.id,
-                "characteristic": sub.characteristic.value,
-                "minimal_requirement": sub.minimal_requirement,
-                "full_requirement": sub.full_requirement,
-                "reasoning": sub.reasoning,
-                "remediation": model.remediation_texts.get(sub.id, ""),
-                "demands": [demand.token for demand in model.matrix[sub.id]],
-            }
-            for sub in model.sub_characteristics
-        ]
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """Content hash of everything in the model that affects results.
+
+    Computed once per model and kept on it.
+    """
+    return model.fingerprint
 
 
 def _snapshot_payload(result: AssessmentResult, model: QualityModel) -> dict:

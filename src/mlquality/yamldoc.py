@@ -1,0 +1,46 @@
+"""Parsing of the YAML documents the tool reads: registry snapshots,
+overrides, usage facts and model configurations.
+
+libyaml's parser is used when PyYAML was built with it, and PyYAML's
+pure-Python parser otherwise. Both feed the same safe constructor, so they
+return equal documents; only the wording of syntax error messages differs.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable
+
+import yaml
+
+LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(text: str, error: Callable[[str], Exception]) -> Any:
+    """Parse one YAML document with the safe constructor.
+
+    Any document that cannot be parsed or built raises `error` with a
+    message starting "invalid YAML:" and naming the line and column where
+    the parser could tell.
+    """
+    try:
+        return _load(text)
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError also covers text the parser cannot encode, e.g. a
+        # lone surrogate, which only libyaml rejects this way
+        raise error(f"invalid YAML: {exc}") from exc
+
+
+def _load(text: str) -> Any:
+    loader = LOADER(text)
+    try:
+        return loader.get_single_data()
+    except ValueError as exc:
+        # a scalar the resolver accepted but cannot build, such as the
+        # timestamp 2026-13-01; the node under construction when it failed
+        # is the last one the constructor entered
+        node = next(reversed(loader.recursive_objects), None)
+        raise yaml.constructor.ConstructorError(
+            None, None, str(exc), node.start_mark if node is not None else None
+        ) from exc
+    finally:
+        loader.dispose()

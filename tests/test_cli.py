@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import mlquality.cli as cli
 from mlquality.cli import main
 from mlquality.model import default_model
 
@@ -351,3 +352,67 @@ def test_missing_store_is_usage_error(tmp_path, gaps_csv, monkeypatch, capsys):
     ])
     assert code == 2
     assert "--store" in capsys.readouterr().err
+
+
+def test_assess_family_must_name_the_system(tmp_path, gaps_csv, capsys):
+    code = main([
+        "assess", "--gaps", str(gaps_csv), "--team", "t", "--system", "s1",
+        "--family", "s2,s3", "--date", "2026-01-05",
+        "--criticality", "1", "--store", str(tmp_path / "store"),
+    ])
+    assert code == 1
+    assert "--family s2,s3 must include --system s1" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dependent_consumers: [6\n", "invalid YAML:"),
+        ("requests_per_day: .inf\n", "requests_per_day must be a finite number"),
+        ("revenue_share: .nan\n", "revenue_share must be a finite number"),
+    ],
+    ids=["malformed YAML", "infinite count", "NaN share"],
+)
+def test_assess_rejects_malformed_usage(
+    tmp_path, gaps_csv, registry, capsys, text, message
+):
+    usage = tmp_path / "usage.yaml"
+    usage.write_text(text)
+    code = main([
+        "assess", "--gaps", str(gaps_csv), "--team", "t", "--system", "s",
+        "--date", "2026-01-05", "--usage", str(usage), "--fleet", str(registry),
+        "--store", str(tmp_path / "store"),
+    ])
+    assert code == 1
+    assert f"usage file {usage}: {message}" in capsys.readouterr().err
+
+
+def test_infer_rejects_impossible_snapshot_date(tmp_path, capsys):
+    registry = tmp_path / "snapshot.yaml"
+    registry.write_text(REGISTRY_YAML.replace("2026-07-01", "2026-13-01"))
+    code = main(["infer", "--registry", str(registry), "--store", str(tmp_path / "store")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid YAML: month must be in 1..12")
+    assert "line 2, column 16" in err
+
+
+def test_fleet_loads_a_snapshot_both_cohorts_pick_once(tmp_path, registry, monkeypatch):
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+    loads = []
+    real = cli.load_assessment
+
+    def counting(*args, **kwargs):
+        loads.append((args[1:], kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_assessment", counting)
+    code = main([
+        "fleet", "--store", str(store), "--out", str(tmp_path / "fleet"),
+        "--before", "2026-07-01", "--after", "2026-07-01",
+    ])
+    assert code == 0
+    assert len(loads) == 3  # three systems, each in both cohorts
+    assert len((tmp_path / "fleet" / "compliance.csv").read_text().splitlines()) == 26

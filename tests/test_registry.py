@@ -349,3 +349,42 @@ def test_overrides_document_rejects_bad_fulfillment():
 def test_overrides_document_rejects_unknown_field():
     with pytest.raises(OverrideError):
         load_overrides("testability: full\n")
+
+
+def test_parse_rejects_impossible_quoted_snapshot_date():
+    text = snapshot_yaml("  - {system_id: a, team: t}").replace(
+        "2026-07-01", '"2026-13-01"'
+    )
+    with pytest.raises(SnapshotError) as excinfo:
+        load_registry_snapshot(text)
+    assert "snapshot_date must be a date, got '2026-13-01'" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("requests_per_day", ".inf", "inf"),
+        ("test_coverage", ".nan", "nan"),
+        ("training_duration", "-.inf", "-inf"),
+    ],
+)
+def test_parse_rejects_non_finite_numbers(field, value, shown):
+    text = snapshot_yaml(f"  - {{system_id: a, team: t, {field}: {value}}}")
+    with pytest.raises(SnapshotError) as excinfo:
+        load_registry_snapshot(text)
+    assert excinfo.value.problems == [
+        f"systems[0]: {field} must be a finite number, got {shown}"
+    ]
+
+
+def test_overrides_unquoted_no_gap_reads_as_no():
+    document = load_overrides("extra:\n  fairness: {gap: no, reason: audited}\n")
+    assert document.defaults.extra["fairness"] == GapEntry(Gap.NO_GAP, "audited")
+
+
+def test_overrides_boolean_true_gap_asks_for_quotes():
+    with pytest.raises(OverrideError) as excinfo:
+        load_overrides("extra:\n  fairness: {gap: yes, reason: audited}\n")
+    (problem,) = excinfo.value.problems
+    assert problem.startswith("overrides: extra.fairness: gap reads as the boolean true")
+    assert "quote the gap token" in problem
