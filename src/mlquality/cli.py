@@ -53,8 +53,9 @@ from .store import (
     load_assessment,
     persist_assessment,
     sanitize_component,
+    write_text_atomic,
 )
-from .yamldoc import load_yaml
+from .yamldoc import load_yaml, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +70,7 @@ def _load_model(args) -> QualityModel:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return read_text(Path(path), MlQualityError)
     except OSError as exc:
         raise MlQualityError(f"cannot read {path}: {exc}") from exc
 
@@ -183,7 +184,7 @@ def cmd_report(args) -> int:
             / REPORT_FILE
         )
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(document.html, encoding="utf-8")
+    write_text_atomic(target, document.html)
     print(f"report: {target}")
     return 0
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ModelConfigError
-from .yamldoc import load_yaml
+from .yamldoc import load_yaml, read_text
 
 LEVELS = (1, 2, 3, 4, 5)
 
@@ -283,7 +283,7 @@ def load_quality_model(source: str | Path | None = None) -> QualityModel:
     model = default_model()
     if source is None:
         return model
-    text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
+    text = read_text(source, ModelConfigError) if isinstance(source, Path) else source
     document = load_yaml(text, ModelConfigError)
     if document is None:
         return model

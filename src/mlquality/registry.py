@@ -25,7 +25,7 @@ from .errors import OverrideError, SnapshotError
 from .model import GAP_ALIASES, Gap, QualityModel
 from .percentiles import nearest_rank
 from .scoring import FleetStats, SystemUsage
-from .yamldoc import load_yaml
+from .yamldoc import load_yaml, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -176,7 +176,7 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
     rather than being defaulted. Duplicate system ids and malformed values
     are hard errors.
     """
-    text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
+    text = read_text(source, SnapshotError) if isinstance(source, Path) else source
     document = load_yaml(text, SnapshotError)
     if not isinstance(document, dict):
         raise SnapshotError("snapshot document must be a mapping")
@@ -666,7 +666,7 @@ def load_overrides(source: str | Path | None) -> OverridesDocument:
     """
     if source is None:
         return OverridesDocument(defaults=ManualOverrides(), per_system={})
-    text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
+    text = read_text(source, OverrideError) if isinstance(source, Path) else source
     document = load_yaml(text, OverrideError)
     if document is None:
         return OverridesDocument(defaults=ManualOverrides(), per_system={})

@@ -166,11 +166,16 @@ def _result_from_payload(payload: dict) -> AssessmentResult:
     )
 
 
-def _write_text(path: Path, content: str) -> None:
-    # tmp + replace keeps readers from ever seeing a half-written file
-    tmp = path.with_suffix(path.suffix + ".tmp")
+def write_text_atomic(path: Path, content: str) -> None:
+    """Write UTF-8 text to a temporary file, then move it into place, so
+    that a reader never sees a half-written file."""
+    tmp = path.parent / f"{path.name}.tmp"
     tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def persist_assessment(
@@ -193,13 +198,13 @@ def persist_assessment(
     gaps_csv = directory / GAPS_FILE
     snapshot = directory / SNAPSHOT_FILE
     report = directory / REPORT_FILE
-    _write_text(gaps_csv, serialize_assessment(assessment, model))
+    write_text_atomic(gaps_csv, serialize_assessment(assessment, model))
     payload = _snapshot_payload(result, model)
-    _write_text(
+    write_text_atomic(
         snapshot,
         json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
     )
-    _write_text(report, render_report(result, model).html)
+    write_text_atomic(report, render_report(result, model).html)
     return StoredAssessment(
         team=assessment.team,
         system=assessment.system_id,
@@ -214,11 +219,33 @@ def persist_assessment(
 def _read_snapshot(path: Path) -> dict:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise StoreError(f"unreadable snapshot {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("snapshot_version") != SNAPSHOT_VERSION:
         raise StoreError(f"unsupported snapshot version in {path}")
     return payload
+
+
+def _snapshot_files(
+    root: Path, team: str | None = None, system: str | None = None
+) -> list[Path]:
+    """Sorted snapshot paths under `root/<team>/<system>/<date>/`.
+
+    A given team or system is joined onto the path as a literal directory
+    name, so a name such as `team[1]` or `*` is never read as a pattern;
+    only the levels left open are matched with `*`. Raises StoreError when
+    a given name is not path-safe.
+    """
+    tail = f"*/{SNAPSHOT_FILE}"
+    if system is not None:
+        system_name = sanitize_component(system)
+        teams = [root / sanitize_component(team)] if team is not None else root.glob("*")
+        found = (path for team_dir in teams for path in (team_dir / system_name).glob(tail))
+    elif team is not None:
+        found = (root / sanitize_component(team)).glob(f"*/{tail}")
+    else:
+        found = root.glob(f"*/*/{tail}")
+    return sorted(found)
 
 
 def load_assessment(
@@ -236,17 +263,12 @@ def load_assessment(
     """
     system_dir = Path(root) / sanitize_component(team) / sanitize_component(system)
     if date is None:
-        candidates = sorted(
-            entry.name
-            for entry in (system_dir.iterdir() if system_dir.is_dir() else ())
-            if entry.is_dir() and (entry / SNAPSHOT_FILE).is_file()
-        )
+        candidates = _snapshot_files(Path(root), team, system)
         if not candidates:
             raise StoreError(f"not found: no assessments under {system_dir}")
-        date_name = candidates[-1]
+        snapshot = candidates[-1]
     else:
-        date_name = date.isoformat()
-    snapshot = system_dir / date_name / SNAPSHOT_FILE
+        snapshot = system_dir / date.isoformat() / SNAPSHOT_FILE
     if not snapshot.is_file():
         raise StoreError(f"not found: {snapshot}")
     payload = _read_snapshot(snapshot)
@@ -261,7 +283,12 @@ def load_assessment(
                 recorded,
                 current,
             )
-    return _result_from_payload(payload)
+    try:
+        return _result_from_payload(payload)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise StoreError(
+            f"malformed snapshot {snapshot}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def history(
@@ -271,15 +298,26 @@ def history(
 ) -> list[HistoryRow]:
     """All stored evaluations, optionally filtered by team and system.
 
-    Reads only snapshots and never recomputes scores. A corrupted snapshot
-    is reported with a warning and skipped; the rest of the history is
-    still returned. Rows are sorted by team, system, then date ascending.
+    Reads only snapshots and never recomputes scores. A team or system
+    filter reads only that team's or system's directory, since
+    `persist_assessment` always writes to `<team>/<system>/<date>/`; a
+    snapshot moved by hand out of its directory is therefore not found by a
+    filtered lookup, just as `load_assessment` misses it. Rows still match
+    the filter exactly: `a b` and `a_b` share a directory but not rows.
+    A corrupted snapshot is reported with a warning and skipped; the rest
+    of the history is still returned. Rows are sorted by team, system,
+    then date ascending.
     """
     root = Path(root)
     rows: list[HistoryRow] = []
     if not root.is_dir():
         return rows
-    for snapshot in sorted(root.glob(f"*/*/*/{SNAPSHOT_FILE}")):
+    try:
+        snapshots = _snapshot_files(root, team, system)
+    except StoreError:
+        # a name that is not path-safe was never stored
+        return rows
+    for snapshot in snapshots:
         try:
             payload = _read_snapshot(snapshot)
             identity = payload["identity"]
@@ -290,7 +328,7 @@ def history(
                 quality_score=int(payload["quality_score"]),
                 maturity=int(payload["maturity"]),
             )
-        except (StoreError, KeyError, TypeError, ValueError) as exc:
+        except (StoreError, KeyError, TypeError, ValueError, OverflowError) as exc:
             logger.warning("skipping corrupted snapshot %s: %s", snapshot, exc)
             continue
         if team is not None and row.team != team:

@@ -1,5 +1,6 @@
-"""Parsing of the YAML documents the tool reads: registry snapshots,
-overrides, usage facts and model configurations.
+"""Reading of the text files the tool takes as input, and parsing of its
+YAML documents: registry snapshots, overrides, usage facts and model
+configurations.
 
 libyaml's parser is used when PyYAML was built with it, and PyYAML's
 pure-Python parser otherwise. Both feed the same safe constructor, so they
@@ -8,11 +9,27 @@ return equal documents; only the wording of syntax error messages differs.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Any, Callable
 
 import yaml
 
 LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def read_text(path: Path, error: Callable[[str], Exception]) -> str:
+    """The text of a UTF-8 input file.
+
+    Bytes that are not UTF-8 raise `error` naming the file and the offset
+    of the first bad byte. OSError passes through.
+    """
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(
+            f"{path}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x} "
+            f"at offset {exc.start}"
+        ) from exc
 
 
 def load_yaml(text: str, error: Callable[[str], Exception]) -> Any:

@@ -416,3 +416,141 @@ def test_fleet_loads_a_snapshot_both_cohorts_pick_once(tmp_path, registry, monke
     assert code == 0
     assert len(loads) == 3  # three systems, each in both cohorts
     assert len((tmp_path / "fleet" / "compliance.csv").read_text().splitlines()) == 26
+
+
+def _mutate_snapshot(path, payload_edit):
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps(payload_edit(payload)))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda payload: {"snapshot_version": 1}, "KeyError: 'identity'"),
+        (
+            lambda payload: {**payload, "gaps": [{**payload["gaps"][0], "gap": "huge"}]},
+            "KeyError: 'huge'",
+        ),
+        (
+            lambda payload: {**payload, "colors": [{**payload["colors"][0], "color": "mauve"}]},
+            "ValueError: 'mauve' is not a valid GapColor",
+        ),
+        (
+            lambda payload: {
+                **payload,
+                "characteristic_scores": [{"characteristic": "speed", "score": 1}],
+            },
+            "ValueError: 'speed' is not a valid Characteristic",
+        ),
+        (lambda payload: {**payload, "identity": "ranker"}, "TypeError:"),
+        (lambda payload: {**payload, "maturity": float("inf")}, "OverflowError:"),
+    ],
+    ids=["version only", "gap token", "color token", "characteristic", "identity", "infinite"],
+)
+def test_report_on_malformed_snapshot_exits_1(tmp_path, registry, capsys, edit, message):
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+    snapshot = store / "search" / "ranker" / "2026-07-01" / "snapshot.json"
+    _mutate_snapshot(snapshot, edit)
+    capsys.readouterr()
+    code = main(["report", "--store", str(store), "--team", "search", "--system", "ranker"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"malformed snapshot {snapshot}: {message}")
+
+
+def test_history_skips_snapshot_with_infinite_score(tmp_path, registry, capsys):
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+    snapshot = store / "search" / "ranker" / "2026-07-01" / "snapshot.json"
+    _mutate_snapshot(snapshot, lambda payload: {**payload, "quality_score": float("inf")})
+    capsys.readouterr()
+    assert main(["history", "--store", str(store)]) == 0
+    out = capsys.readouterr().out
+    assert "search,ranker" not in out and "supply,forecaster" in out
+
+
+def test_deeply_nested_snapshot_is_reported_not_raised(tmp_path, registry, capsys, caplog):
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+    snapshot = store / "search" / "ranker" / "2026-07-01" / "snapshot.json"
+    snapshot.write_text("[" * 100_000)
+    assert main(["history", "--store", str(store)]) == 0
+    assert any("skipping corrupted snapshot" in message for message in caplog.messages)
+    capsys.readouterr()
+    code = main(["report", "--store", str(store), "--team", "search", "--system", "ranker"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"unreadable snapshot {snapshot}: ")
+
+
+NOT_UTF8 = "ok\n".encode() * 3 + b"\xff rest\n"
+
+
+@pytest.mark.parametrize(
+    "flag", ["--gaps", "--usage", "--fleet", "--model", "--overrides"],
+)
+def test_input_that_is_not_utf8_exits_1(tmp_path, gaps_csv, registry, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    usage = tmp_path / "usage.yaml"
+    usage.write_text("requests_per_day: 10\n")
+    inputs = {"--gaps": gaps_csv, "--usage": usage, "--fleet": registry, flag: bad}
+    if flag == "--overrides":
+        argv = ["infer", "--registry", str(registry), "--overrides", str(bad)]
+    else:
+        argv = ["assess", "--team", "t", "--system", "s", "--date", "2026-01-05"]
+        for name, path in inputs.items():
+            argv += [name, str(path)]
+    code = main(argv + ["--store", str(tmp_path / "store")])
+    assert code == 1
+    assert capsys.readouterr().err == f"{bad}: not valid UTF-8: byte 0xff at offset 9\n"
+    assert not (tmp_path / "store").exists()
+
+
+def test_registry_that_is_not_utf8_exits_1(tmp_path, capsys):
+    bad = tmp_path / "snapshot.yaml"
+    bad.write_bytes(REGISTRY_YAML.encode() + b"# \xc3\x28\n")
+    code = main(["infer", "--registry", str(bad), "--store", str(tmp_path / "store")])
+    assert code == 1
+    offset = len(REGISTRY_YAML.encode()) + 2
+    assert capsys.readouterr().err == (
+        f"{bad}: not valid UTF-8: byte 0xc3 at offset {offset}\n"
+    )
+
+
+def test_report_write_failure_keeps_the_previous_file(tmp_path, registry, monkeypatch, capsys):
+    import mlquality.store as store_module
+
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+    target = tmp_path / "report.html"
+    target.write_text("previous report")
+
+    def failing_replace(source, destination):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(store_module.os, "replace", failing_replace)
+    code = main([
+        "report", "--store", str(store), "--team", "search", "--system", "ranker",
+        "--out", str(target),
+    ])
+    assert code == 1
+    assert "disk full" in capsys.readouterr().err
+    assert target.read_text() == "previous report"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "report.html", "snapshot.yaml", "store",
+    ]
+
+
+def test_report_onto_a_directory_exits_1(tmp_path, registry, capsys):
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main([
+        "report", "--store", str(store), "--team", "search", "--system", "ranker",
+        "--out", str(out),
+    ])
+    assert code == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "snapshot.yaml", "store"]
+    assert list(out.iterdir()) == []

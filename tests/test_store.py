@@ -5,9 +5,14 @@ from __future__ import annotations
 import datetime as dt
 import json
 import logging
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mlquality.store as store
 from conftest import make_assessment
 from mlquality.errors import StoreError
 from mlquality.model import Gap, default_model, load_quality_model
@@ -187,3 +192,161 @@ def test_snapshot_is_canonical_json(model, tmp_path):
     assert rebuilt == text
     assert payload["snapshot_version"] == 1
     assert payload["model_fingerprint"] == model_fingerprint(model)
+
+
+def _persist_identities(model, root, identities):
+    for team, system, day in identities:
+        result = evaluate(
+            make_assessment(model, team=team, system_id=system, date=dt.date(2026, 1, day)),
+            model,
+        )
+        persist_assessment(root, result, model)
+
+
+def _record_reads(monkeypatch) -> list[Path]:
+    """Paths of the snapshots `history` opens from now on."""
+    reads: list[Path] = []
+    real = store._read_snapshot
+
+    def recording(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(store, "_read_snapshot", recording)
+    return reads
+
+
+def _identities(rows):
+    return [(row.team, row.system, row.date.day) for row in rows]
+
+
+SCOPED_STORE = (
+    ("search", "ranker", 1),
+    ("search", "ranker", 2),
+    ("search", "suggest", 1),
+    ("ads", "ranker", 3),
+    ("ads", "bidder", 1),
+)
+
+
+@pytest.mark.parametrize(
+    "team, system, expected, directories",
+    [
+        (
+            "search", None,
+            [("search", "ranker", 1), ("search", "ranker", 2), ("search", "suggest", 1)],
+            {"search/ranker", "search/suggest"},
+        ),
+        (
+            None, "ranker",
+            [("ads", "ranker", 3), ("search", "ranker", 1), ("search", "ranker", 2)],
+            {"ads/ranker", "search/ranker"},
+        ),
+        (
+            "search", "ranker",
+            [("search", "ranker", 1), ("search", "ranker", 2)],
+            {"search/ranker"},
+        ),
+        ("nobody", None, [], set()),
+        (None, "nothing", [], set()),
+    ],
+    ids=["team", "system", "team+system", "unknown team", "unknown system"],
+)
+def test_history_scope_reads_only_matching_directories(
+    model, tmp_path, monkeypatch, team, system, expected, directories
+):
+    _persist_identities(model, tmp_path, SCOPED_STORE)
+    reads = _record_reads(monkeypatch)
+    rows = history(tmp_path, team=team, system=system)
+    assert _identities(rows) == expected
+    assert {path.parent.parent.relative_to(tmp_path).as_posix() for path in reads} == directories
+    assert len(reads) == len(expected)
+
+
+@pytest.mark.parametrize("name", ["team[1]", "*", "?", "t[!x]"])
+def test_history_scope_reads_glob_metacharacters_literally(
+    model, tmp_path, monkeypatch, name
+):
+    # each name, read as a pattern, would match one of the other directories
+    others = ("team1", "tx", "tt", "x")
+    _persist_identities(
+        model,
+        tmp_path,
+        [(name, "s", 1), (name, "s", 2)]
+        + [(other, "s", 1) for other in others]
+        + [("t", name, 1)]
+        + [("t", other, 1) for other in others],
+    )
+    reads = _record_reads(monkeypatch)
+    assert _identities(history(tmp_path, team=name)) == [(name, "s", 1), (name, "s", 2)]
+    assert _identities(history(tmp_path, team=name, system="s")) == [
+        (name, "s", 1),
+        (name, "s", 2),
+    ]
+    assert _identities(history(tmp_path, system=name)) == [("t", name, 1)]
+    assert _identities(history(tmp_path, team="t", system=name)) == [("t", name, 1)]
+    assert len(reads) == 6
+    assert load_assessment(tmp_path, name, "s").assessment.date == dt.date(2026, 1, 2)
+    assert load_assessment(tmp_path, "t", name).assessment.system_id == name
+
+
+def test_history_scope_keeps_exact_identity_in_a_shared_directory(model, tmp_path):
+    # "a b" and "a_b" both live under a_b/; each lookup returns its own rows
+    _persist_identities(
+        model, tmp_path, [("a b", "s", 1), ("a_b", "s", 2), ("t", "x y", 3), ("t", "x_y", 4)]
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a_b", "t"]
+    assert sorted(path.name for path in (tmp_path / "t").iterdir()) == ["x_y"]
+    assert _identities(history(tmp_path, team="a b")) == [("a b", "s", 1)]
+    assert _identities(history(tmp_path, team="a_b")) == [("a_b", "s", 2)]
+    assert _identities(history(tmp_path, team="t", system="x y")) == [("t", "x y", 3)]
+    assert _identities(history(tmp_path, system="x_y")) == [("t", "x_y", 4)]
+
+
+@pytest.mark.parametrize("name", ["..", ".", "", "   "])
+def test_history_scope_with_unsafe_name_is_empty(model, tmp_path, name):
+    _persist_identities(model, tmp_path, [("search", "ranker", 1)])
+    assert history(tmp_path, team=name) == []
+    assert history(tmp_path, system=name) == []
+    assert history(tmp_path, team="search", system=name) == []
+
+
+def test_history_scope_skips_other_systems_corrupted_snapshot(model, tmp_path, caplog):
+    _persist_identities(
+        model, tmp_path, [("search", "ranker", 1), ("search", "suggest", 1), ("ads", "x", 1)]
+    )
+    for team, system in (("search", "suggest"), ("ads", "x")):
+        (tmp_path / team / system / "2026-01-01" / "snapshot.json").write_text("{ not json")
+    with caplog.at_level(logging.WARNING):
+        rows = history(tmp_path, team="search", system="ranker")
+    assert _identities(rows) == [("search", "ranker", 1)]
+    assert caplog.messages == []
+    with caplog.at_level(logging.WARNING):
+        history(tmp_path, team="search")
+    assert len(caplog.messages) == 1 and "suggest" in caplog.messages[0]
+
+
+NAMES = ["a b", "a_b", "t[1]", "t1", "*", "?", "x"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    identities=st.lists(
+        st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES), st.integers(1, 3)),
+        max_size=6,
+    ),
+    team=st.sampled_from(NAMES + [None, "..", "", "zz"]),
+    system=st.sampled_from(NAMES + [None, "..", "", "zz"]),
+)
+def test_history_scope_equals_filtered_full_listing(identities, team, system):
+    model = default_model()
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        _persist_identities(model, root, identities)
+        everything = history(root)
+        assert history(root, team=team, system=system) == [
+            row
+            for row in everything
+            if (team is None or row.team == team)
+            and (system is None or row.system == system)
+        ]
