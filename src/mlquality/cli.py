@@ -150,6 +150,12 @@ def cmd_infer(args) -> int:
     if not records:
         raise MlQualityError("registry snapshot contains no systems")
     fleet = fleet_percentiles(records)
+    # a typo here would silently read as "no human review"
+    known = {record.system_id for record in records}
+    for system_id in sorted(set(overrides.per_system) - known, key=str):
+        logger.warning(
+            "overrides: systems.%s names no system in the registry snapshot", system_id
+        )
     store = _store_root(args)
     for record in records:
         assessment = infer_gaps(

@@ -2,10 +2,24 @@
 
 A registry snapshot is a YAML document with a `systems` list, one entry
 per ML system, carrying whatever evidence the registry has. Gaps are then
-inferred per attribute by a fixed rule table. Missing evidence is treated
-conservatively: any attribute whose rule needs an absent field gets a
-large gap with the reason "no evidence in registry", so an audit prefers a
-false alarm over a silent pass.
+inferred per attribute by a fixed rule table, `_RULES`. Each rule lists
+the registry fields it reads. Most rules are evidence ladders: the
+evidence picks a rung and the rung picks the gap (the top rung is no gap,
+the bottom rung large, any rung between small). A ladder finds its rung in
+one of three ways:
+
+- flags: the number of leading true boolean fields;
+- enum: the position of the value among the field's tokens, so the order
+  of an enum's tokens (`RETRAINING_VALUES` and its siblings, none first)
+  is its rung order;
+- threshold: the number of bars the value passes.
+
+The few rules that do not fit a ladder are written out by hand; only
+`efficiency` reads the fleet stats. Missing evidence is treated
+conservatively, in one place: `infer_gaps` gives any attribute whose rule
+reads an absent field a large gap with the reason "no evidence in
+registry", before the rule runs, so an audit prefers a false alarm over a
+silent pass.
 
 Readability and modularity cannot be judged from registry data; they come
 from human review supplied as manual overrides and default to a large gap
@@ -17,8 +31,11 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .assessment import Assessment, GapEntry
 from .errors import OverrideError, SnapshotError
@@ -106,6 +123,7 @@ class ManualOverrides:
     extra: dict[str, GapEntry] = field(default_factory=dict)
 
 
+# token order is rung order for the enum rules: bottom rung first
 _ENUM_FIELDS = {
     "retraining": RETRAINING_VALUES,
     "pipeline_automation": AUTOMATION_VALUES,
@@ -278,255 +296,245 @@ def _num(value: float) -> str:
     return f"{value:g}"
 
 
-def _missing(*values) -> bool:
-    return any(value is None for value in values)
+_NO_EVIDENCE = GapEntry(Gap.LARGE, NO_EVIDENCE)
 
 
-def _no_evidence() -> GapEntry:
-    return GapEntry(gap=Gap.LARGE, reason=NO_EVIDENCE)
+class _Rule(NamedTuple):
+    """How one attribute is inferred: the registry fields it reads, a
+    reader returning their values as a tuple, and a judge taking those
+    values in the same order."""
+
+    fields: tuple[str, ...]
+    read: Callable[[SystemMetadata], tuple]
+    judge: Callable[..., GapEntry]
 
 
-def _infer_accuracy(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.outperforms_baseline, r.input_data_validated):
-        return _no_evidence()
-    if r.outperforms_baseline and r.input_data_validated:
-        return GapEntry(Gap.NO_GAP, "outperforms a baseline and input data are validated")
-    if r.outperforms_baseline:
-        return GapEntry(Gap.SMALL, "outperforms a baseline but input data are not validated")
-    return GapEntry(Gap.LARGE, "does not outperform a simple baseline")
+def _rule(fields: tuple[str, ...], judge: Callable[..., GapEntry]) -> _Rule:
+    get = operator.attrgetter(*fields)
+    read = get if len(fields) > 1 else lambda record: (get(record),)
+    return _Rule(fields, read, judge)
 
 
-def _infer_effectiveness(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.ab_test_conclusive, r.ab_test_repeated_within_6_months):
-        return _no_evidence()
-    if r.ab_test_conclusive and r.ab_test_repeated_within_6_months:
-        return GapEntry(Gap.NO_GAP, "conclusive A/B test, repeated within six months")
-    if r.ab_test_conclusive:
-        return GapEntry(Gap.SMALL, "conclusive A/B test not repeated within six months")
-    return GapEntry(Gap.LARGE, "no conclusive A/B test")
+def _rung_gaps(rungs: int) -> tuple[Gap, ...]:
+    """Gap per rung, bottom rung first: large at the bottom, no gap at the
+    top, small on any rung between."""
+    return (Gap.LARGE,) + (Gap.SMALL,) * (rungs - 2) + (Gap.NO_GAP,)
 
 
-def _infer_responsiveness(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.latency_slo_met, r.throughput_slo_met):
-        return _no_evidence()
-    if r.latency_slo_met and r.throughput_slo_met:
+def _flags(fields: tuple[str, ...], *reasons: str) -> _Rule:
+    """Rung = the number of leading true flags; one reason per rung."""
+    entries = tuple(map(GapEntry, _rung_gaps(len(reasons)), reasons))
+
+    def judge(*flags) -> GapEntry:
+        rung = 0
+        for flag in flags:
+            if not flag:
+                break
+            rung += 1
+        return entries[rung]
+
+    return _rule(fields, judge)
+
+
+def _enum(name: str, *reasons: str) -> _Rule:
+    """Rung = the position of the value among the field's tokens in
+    `_ENUM_FIELDS`; one reason per token."""
+    tokens = _ENUM_FIELDS[name]
+    by_token = dict(zip(tokens, map(GapEntry, _rung_gaps(len(tokens)), reasons)))
+    bottom = by_token[tokens[0]]
+    # a token outside the validated set can only come from a hand-built
+    # record; like the bottom token it is not evidence of anything better
+    return _rule((name,), lambda value: by_token.get(value, bottom))
+
+
+def _threshold(
+    name: str, passes: Callable[[float, float], bool], bars: tuple[float, ...],
+    *templates: str,
+) -> _Rule:
+    """Rung = the number of bars the value passes, loosest bar first; each
+    rung's reason is a template filled with the value."""
+    rungs = tuple(zip(_rung_gaps(len(templates)), templates))
+
+    def judge(value: float) -> GapEntry:
+        rung = 0
+        for bar in bars:
+            if passes(value, bar):
+                rung += 1
+        gap, template = rungs[rung]
+        return GapEntry(gap, template.format(value))
+
+    return _rule((name,), judge)
+
+
+def _responsiveness(latency_met: bool, throughput_met: bool) -> GapEntry:
+    if latency_met and throughput_met:
         return GapEntry(Gap.NO_GAP, "latency and throughput requirements are met")
     unmet = [
         name
-        for name, met in (("latency", r.latency_slo_met), ("throughput", r.throughput_slo_met))
+        for name, met in (("latency", latency_met), ("throughput", throughput_met))
         if not met
     ]
     return GapEntry(Gap.LARGE, f"{' and '.join(unmet)} requirements not met")
 
 
-def _infer_usability(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.deployed_in_serving_system):
-        return _no_evidence()
-    if r.deployed_in_serving_system:
-        return GapEntry(Gap.NO_GAP, "deployed in a serving system")
-    return GapEntry(Gap.LARGE, "not deployed in a serving system")
-
-
-def _infer_cost_effectiveness(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.revenue, r.training_cost, r.inference_cost):
-        return _no_evidence()
-    if r.revenue > r.training_cost + r.inference_cost:
+def _cost_effectiveness(
+    revenue: float, training_cost: float, inference_cost: float
+) -> GapEntry:
+    if revenue > training_cost + inference_cost:
         return GapEntry(Gap.NO_GAP, "revenue exceeds training and inference costs")
     return GapEntry(Gap.LARGE, "revenue does not exceed training and inference costs")
 
 
-def _infer_efficiency(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.training_duration, r.basic_ops_automated):
-        return _no_evidence()
-    if not r.basic_ops_automated:
+def _efficiency(duration: float, automated: bool, fleet: FleetStats) -> GapEntry:
+    if not automated:
         return GapEntry(Gap.LARGE, "basic operations are not automated")
     p80 = fleet.training_duration_p80
-    if r.training_duration <= p80:
+    if duration <= p80:
         return GapEntry(
             Gap.NO_GAP,
             f"basic operations automated and training duration "
-            f"({_num(r.training_duration)} min) within the fleet 80th "
+            f"({_num(duration)} min) within the fleet 80th "
             f"percentile ({_num(p80)} min)",
         )
     return GapEntry(
         Gap.SMALL,
         f"basic operations automated but training duration "
-        f"({_num(r.training_duration)} min) exceeds the fleet 80th "
+        f"({_num(duration)} min) exceeds the fleet 80th "
         f"percentile ({_num(p80)} min)",
     )
 
 
-def _infer_availability(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.sla_met):
-        return _no_evidence()
-    if r.sla_met:
-        return GapEntry(Gap.NO_GAP, "deployed service meets its SLAs")
-    return GapEntry(Gap.LARGE, "deployed service does not meet its SLAs")
-
-
-def _infer_resilience(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    ratio = r.failed_pipeline_ratio_quarter
-    if ratio is None:
-        return _no_evidence()
-    if ratio <= 0.10:
-        return GapEntry(Gap.NO_GAP, f"failed pipeline ratio {ratio:.0%} within the 10% bar")
-    if ratio <= 0.30:
-        return GapEntry(Gap.SMALL, f"failed pipeline ratio {ratio:.0%} within the 30% bar only")
-    return GapEntry(Gap.LARGE, f"failed pipeline ratio {ratio:.0%} above the 30% bar")
-
-
-def _infer_adaptability(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.retraining):
-        return _no_evidence()
-    if r.retraining == "scheduled":
-        return GapEntry(Gap.NO_GAP, "retraining is scheduled")
-    if r.retraining == "manual":
-        return GapEntry(Gap.SMALL, "retraining is manual")
-    return GapEntry(Gap.LARGE, "no retraining in place")
-
-
-def _infer_scalability(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.autoscaling_enabled, r.deployed_in_serving_system):
-        return _no_evidence()
-    if r.autoscaling_enabled and r.deployed_in_serving_system:
+def _scalability(autoscaling: bool, serving: bool) -> GapEntry:
+    if autoscaling and serving:
         return GapEntry(Gap.NO_GAP, "deployed in a serving system with autoscaling enabled")
-    if not r.deployed_in_serving_system:
+    if not serving:
         return GapEntry(Gap.LARGE, "not deployed in a serving system")
     return GapEntry(Gap.LARGE, "autoscaling is not enabled")
 
 
-def _infer_repeatability(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.pipeline_automation):
-        return _no_evidence()
-    if r.pipeline_automation == "full":
-        return GapEntry(Gap.NO_GAP, "life-cycle pipeline fully automated")
-    if r.pipeline_automation == "partial":
-        return GapEntry(Gap.SMALL, "life-cycle pipeline partially automated")
-    return GapEntry(Gap.LARGE, "life-cycle pipeline not automated")
-
-
-def _infer_monitoring(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.monitoring):
-        return _no_evidence()
-    if r.monitoring == "full":
-        return GapEntry(Gap.NO_GAP, "performance, feature drift and metrics are monitored")
-    if r.monitoring == "performance_only":
-        return GapEntry(Gap.SMALL, "only ML performance is monitored")
-    return GapEntry(Gap.LARGE, "no monitoring in place")
-
-
-def _infer_testability(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    coverage = r.test_coverage
-    if coverage is None:
-        return _no_evidence()
-    if coverage >= 0.80:
-        return GapEntry(Gap.NO_GAP, f"test coverage {coverage:.0%} meets the 80% bar")
-    if coverage >= 0.20:
-        return GapEntry(Gap.SMALL, f"test coverage {coverage:.0%} meets only the 20% bar")
-    return GapEntry(Gap.LARGE, f"test coverage {coverage:.0%} below the 20% bar")
-
-
-def _infer_operability(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.can_disable_update_revert, r.service_deployed):
-        return _no_evidence()
-    if r.can_disable_update_revert:
+def _operability(revertible: bool, service_deployed: bool) -> GapEntry:
+    if revertible:
         return GapEntry(Gap.NO_GAP, "system can be disabled, updated and reverted")
-    if r.service_deployed:
+    if service_deployed:
         return GapEntry(
             Gap.SMALL, "deployed on a service but cannot be disabled, updated and reverted"
         )
     return GapEntry(Gap.LARGE, "not deployed on a service")
 
 
-def _infer_discoverability(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.deployed_in_registry):
-        return _no_evidence()
-    if r.deployed_in_registry:
-        return GapEntry(Gap.NO_GAP, "deployed in an accessible registry")
-    return GapEntry(Gap.LARGE, "not deployed in an accessible registry")
+def _ownership(owner_team: str) -> GapEntry:
+    return GapEntry(Gap.NO_GAP, f"owned by team {owner_team}")
 
 
-def _infer_traceability(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.metadata_logging):
-        return _no_evidence()
-    if r.metadata_logging == "full":
-        return GapEntry(Gap.NO_GAP, "life-cycle metadata fully logged")
-    if r.metadata_logging == "partial":
-        return GapEntry(Gap.SMALL, "life-cycle metadata partially logged")
-    return GapEntry(Gap.LARGE, "life-cycle metadata not logged")
+def _maintainability(code_versioned: bool, readability: str | None) -> GapEntry:
+    if not code_versioned:
+        return GapEntry(Gap.LARGE, "code is not versioned")
+    if readability == "full":
+        return GapEntry(Gap.NO_GAP, "code versioned and readability confirmed by human review")
+    return GapEntry(Gap.SMALL, "code versioned but readability full requirement not met")
 
 
-def _infer_understandability(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.documentation):
-        return _no_evidence()
-    if r.documentation == "complete":
-        return GapEntry(Gap.NO_GAP, "documentation is complete")
-    if r.documentation == "partial":
-        return GapEntry(Gap.SMALL, "documentation is partial")
-    return GapEntry(Gap.LARGE, "no documentation")
-
-
-def _infer_explainability(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.explainable):
-        return _no_evidence()
-    if r.explainable:
-        return GapEntry(Gap.NO_GAP, "predictions are explainable")
-    return GapEntry(Gap.LARGE, "predictions are not explainable")
-
-
-def _infer_fairness(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.bias_checked_clean):
-        return _no_evidence()
-    if r.bias_checked_clean:
-        return GapEntry(Gap.NO_GAP, "checked against undesired biases, none identified")
-    return GapEntry(Gap.LARGE, "not cleared of undesired biases")
-
-
-def _infer_ownership(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if r.owner_team is None:
-        return _no_evidence()
-    return GapEntry(Gap.NO_GAP, f"owned by team {r.owner_team}")
-
-
-def _infer_standards_compliance(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.compliance_met):
-        return _no_evidence()
-    if r.compliance_met:
-        return GapEntry(Gap.NO_GAP, "compliance standards are met")
-    return GapEntry(Gap.LARGE, "compliance standards are not met")
-
-
-def _infer_vulnerability(r: SystemMetadata, fleet: FleetStats) -> GapEntry:
-    if _missing(r.bot_filtering):
-        return _no_evidence()
-    if r.bot_filtering:
-        return GapEntry(Gap.NO_GAP, "bots are filtered from input data")
-    return GapEntry(Gap.LARGE, "bots are not filtered from input data")
-
-
-_RULES = {
-    "accuracy": _infer_accuracy,
-    "effectiveness": _infer_effectiveness,
-    "responsiveness": _infer_responsiveness,
-    "usability": _infer_usability,
-    "cost_effectiveness": _infer_cost_effectiveness,
-    "efficiency": _infer_efficiency,
-    "availability": _infer_availability,
-    "resilience": _infer_resilience,
-    "adaptability": _infer_adaptability,
-    "scalability": _infer_scalability,
-    "repeatability": _infer_repeatability,
-    "monitoring": _infer_monitoring,
-    "testability": _infer_testability,
-    "operability": _infer_operability,
-    "discoverability": _infer_discoverability,
-    "traceability": _infer_traceability,
-    "understandability": _infer_understandability,
-    "explainability": _infer_explainability,
-    "fairness": _infer_fairness,
-    "ownership": _infer_ownership,
-    "standards_compliance": _infer_standards_compliance,
-    "vulnerability": _infer_vulnerability,
+# One rule per attribute the registry can judge. `efficiency` also gets
+# the fleet stats and `maintainability` the readability review.
+_RULES: dict[str, _Rule] = {
+    "accuracy": _flags(
+        ("outperforms_baseline", "input_data_validated"),
+        "does not outperform a simple baseline",
+        "outperforms a baseline but input data are not validated",
+        "outperforms a baseline and input data are validated",
+    ),
+    "effectiveness": _flags(
+        ("ab_test_conclusive", "ab_test_repeated_within_6_months"),
+        "no conclusive A/B test",
+        "conclusive A/B test not repeated within six months",
+        "conclusive A/B test, repeated within six months",
+    ),
+    "responsiveness": _rule(("latency_slo_met", "throughput_slo_met"), _responsiveness),
+    "usability": _flags(
+        ("deployed_in_serving_system",),
+        "not deployed in a serving system",
+        "deployed in a serving system",
+    ),
+    "cost_effectiveness": _rule(
+        ("revenue", "training_cost", "inference_cost"), _cost_effectiveness
+    ),
+    "efficiency": _rule(("training_duration", "basic_ops_automated"), _efficiency),
+    "availability": _flags(
+        ("sla_met",),
+        "deployed service does not meet its SLAs",
+        "deployed service meets its SLAs",
+    ),
+    "resilience": _threshold(
+        "failed_pipeline_ratio_quarter", operator.le, (0.30, 0.10),
+        "failed pipeline ratio {:.0%} above the 30% bar",
+        "failed pipeline ratio {:.0%} within the 30% bar only",
+        "failed pipeline ratio {:.0%} within the 10% bar",
+    ),
+    "adaptability": _enum(
+        "retraining",
+        "no retraining in place",
+        "retraining is manual",
+        "retraining is scheduled",
+    ),
+    "scalability": _rule(("autoscaling_enabled", "deployed_in_serving_system"), _scalability),
+    "repeatability": _enum(
+        "pipeline_automation",
+        "life-cycle pipeline not automated",
+        "life-cycle pipeline partially automated",
+        "life-cycle pipeline fully automated",
+    ),
+    "monitoring": _enum(
+        "monitoring",
+        "no monitoring in place",
+        "only ML performance is monitored",
+        "performance, feature drift and metrics are monitored",
+    ),
+    "maintainability": _rule(("code_versioned",), _maintainability),
+    "testability": _threshold(
+        "test_coverage", operator.ge, (0.20, 0.80),
+        "test coverage {:.0%} below the 20% bar",
+        "test coverage {:.0%} meets only the 20% bar",
+        "test coverage {:.0%} meets the 80% bar",
+    ),
+    "operability": _rule(("can_disable_update_revert", "service_deployed"), _operability),
+    "discoverability": _flags(
+        ("deployed_in_registry",),
+        "not deployed in an accessible registry",
+        "deployed in an accessible registry",
+    ),
+    "traceability": _enum(
+        "metadata_logging",
+        "life-cycle metadata not logged",
+        "life-cycle metadata partially logged",
+        "life-cycle metadata fully logged",
+    ),
+    "understandability": _enum(
+        "documentation",
+        "no documentation",
+        "documentation is partial",
+        "documentation is complete",
+    ),
+    "explainability": _flags(
+        ("explainable",),
+        "predictions are not explainable",
+        "predictions are explainable",
+    ),
+    "fairness": _flags(
+        ("bias_checked_clean",),
+        "not cleared of undesired biases",
+        "checked against undesired biases, none identified",
+    ),
+    "ownership": _rule(("owner_team",), _ownership),
+    "standards_compliance": _flags(
+        ("compliance_met",),
+        "compliance standards are not met",
+        "compliance standards are met",
+    ),
+    "vulnerability": _flags(
+        ("bot_filtering",),
+        "bots are not filtered from input data",
+        "bots are filtered from input data",
+    ),
 }
 
 
@@ -538,18 +546,6 @@ def _from_review(fulfillment: str | None) -> GapEntry:
     if fulfillment == "partial":
         return GapEntry(Gap.SMALL, "human review: only the minimal requirement met")
     return GapEntry(Gap.LARGE, "human review: requirement not met")
-
-
-def _infer_maintainability(
-    r: SystemMetadata, overrides: ManualOverrides, fleet: FleetStats
-) -> GapEntry:
-    if _missing(r.code_versioned):
-        return _no_evidence()
-    if not r.code_versioned:
-        return GapEntry(Gap.LARGE, "code is not versioned")
-    if overrides.readability == "full":
-        return GapEntry(Gap.NO_GAP, "code versioned and readability confirmed by human review")
-    return GapEntry(Gap.SMALL, "code versioned but readability full requirement not met")
 
 
 def infer_gaps(
@@ -564,8 +560,11 @@ def infer_gaps(
 
     Inference is deterministic: the same record, overrides and fleet stats
     always yield the same gaps and reason strings. Entries in
-    `overrides.extra` win over every inferred value. The returned
-    assessment carries no criticality yet; see `usage_from_metadata` and
+    `overrides.extra` win over every inferred value. Otherwise an
+    attribute whose rule reads an absent field gets a large gap with the
+    reason "no evidence in registry", whatever its other fields say; this
+    is the only place that policy is applied. The returned assessment
+    carries no criticality yet; see `usage_from_metadata` and
     `determine_criticality`.
     """
     problems = [
@@ -584,13 +583,20 @@ def infer_gaps(
             entry = _from_review(overrides.readability)
         elif sub_id == "modularity":
             entry = _from_review(overrides.modularity)
-        elif sub_id == "maintainability":
-            entry = _infer_maintainability(record, overrides, fleet)
-        elif sub_id in _RULES:
-            entry = _RULES[sub_id](record, fleet)
-        else:
+        elif sub_id not in _RULES:
             # a row this rule table does not know; stay conservative
             entry = GapEntry(Gap.LARGE, "no inference rule for this sub-characteristic")
+        else:
+            _, read, judge = _RULES[sub_id]
+            values = read(record)
+            if None in values:
+                entry = _NO_EVIDENCE
+            elif sub_id == "efficiency":
+                entry = judge(*values, fleet)
+            elif sub_id == "maintainability":
+                entry = judge(*values, overrides.readability)
+            else:
+                entry = judge(*values)
         if entry.gap not in model.legal_gaps(sub_id):
             raise OverrideError(
                 f"{sub_id}: small gap illegal (no minimal requirement)"

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from .assessment import Assessment, check_gaps_total
-from .model import Characteristic, Demand, Gap, QualityModel
-
-MATURITY_LEVELS = (1, 2, 3, 4, 5)
+from .model import LEVELS, Characteristic, Demand, Gap, QualityModel
 
 
 class CriticalityLevel(IntEnum):
@@ -23,6 +21,9 @@ class CriticalityLevel(IntEnum):
     PROOF_OF_CONCEPT = 1
     PRODUCTION_NON_CRITICAL = 3
     PRODUCTION_CRITICAL = 5
+
+
+_REQUIRED_LEVELS = tuple(int(level) for level in CriticalityLevel)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def _characteristic_scores(
 def satisfies_level(assessment: Assessment, level: int, model: QualityModel) -> bool:
     """True iff every attribute meets the demand this maturity level puts
     on it."""
-    if level not in MATURITY_LEVELS:
+    if level not in LEVELS:
         raise ValueError(f"level must be in 1..5, got {level}")
     return all(
         model.demand(sub_id, level).satisfied_by(entry.gap)
@@ -158,7 +159,7 @@ def maturity_level(assessment: Assessment, model: QualityModel) -> int:
 
 
 def _maturity_level(assessment: Assessment, model: QualityModel) -> int:
-    for level in reversed(MATURITY_LEVELS):
+    for level in reversed(LEVELS):
         if satisfies_level(assessment, level, model):
             return level
     return 0
@@ -229,8 +230,11 @@ def classify_gaps(
     A fully mature system is all green. Every gapped attribute violates
     level 5, so the first violated level always exists.
     """
-    if required not in (1, 3, 5):
-        raise ValueError(f"required maturity must be one of 1, 3, 5, got {required}")
+    if required not in _REQUIRED_LEVELS:
+        raise ValueError(
+            "required maturity must be one of "
+            f"{', '.join(map(str, _REQUIRED_LEVELS))}, got {required}"
+        )
     return _classify_gaps(
         assessment, model, maturity_level(assessment, model), required
     )
@@ -241,12 +245,12 @@ def _classify_gaps(
 ) -> dict[str, GapColor]:
     colors: dict[str, GapColor] = {}
     for sub_id, entry in assessment.gaps.items():
-        if entry.gap is Gap.NO_GAP or maturity == 5:
+        if entry.gap is Gap.NO_GAP or maturity == LEVELS[-1]:
             colors[sub_id] = GapColor.GREEN
             continue
         first_violated = next(
             level
-            for level in range(maturity + 1, 6)
+            for level in LEVELS[maturity:]  # the levels above `maturity`
             if not model.demand(sub_id, level).satisfied_by(entry.gap)
         )
         if first_violated == maturity + 1:

@@ -168,12 +168,19 @@ def _result_from_payload(payload: dict) -> AssessmentResult:
 
 def write_text_atomic(path: Path, content: str) -> None:
     """Write UTF-8 text to a temporary file, then move it into place, so
-    that a reader never sees a half-written file."""
-    tmp = path.parent / f"{path.name}.tmp"
-    tmp.write_text(content, encoding="utf-8")
+    that a reader never sees a half-written file.
+
+    Each call creates its own temporary name next to `path`, exclusively,
+    so concurrent writers never overwrite or move each other's temporary
+    file. It is created with the mode a plain open would give it.
+    """
+    tmp = path.parent / f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    descriptor = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        with open(descriptor, "w", encoding="utf-8") as handle:
+            handle.write(content)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 

@@ -554,3 +554,36 @@ def test_report_onto_a_directory_exits_1(tmp_path, registry, capsys):
     assert code == 1
     assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "snapshot.yaml", "store"]
     assert list(out.iterdir()) == []
+
+
+def test_infer_warns_once_per_unknown_overrides_system(tmp_path, registry, caplog):
+    overrides = tmp_path / "overrides.yaml"
+    overrides.write_text(
+        "systems:\n"
+        "  zeta: {readability: full}\n"
+        "  ranker: {readability: full}\n"
+        "  rankr: {modularity: full}\n"
+        "  42: {readability: none}\n"
+    )
+    code = main([
+        "infer", "--registry", str(registry), "--overrides", str(overrides),
+        "--store", str(tmp_path / "store"),
+    ])
+    assert code == 0
+    unknown = [message for message in caplog.messages if "names no system" in message]
+    assert unknown == [
+        "overrides: systems.42 names no system in the registry snapshot",
+        "overrides: systems.rankr names no system in the registry snapshot",
+        "overrides: systems.zeta names no system in the registry snapshot",
+    ]
+
+
+def test_infer_without_unknown_overrides_systems_warns_nothing(tmp_path, registry, caplog):
+    overrides = tmp_path / "overrides.yaml"
+    overrides.write_text("systems:\n  ranker: {readability: full}\n  sandbox: {}\n")
+    code = main([
+        "infer", "--registry", str(registry), "--overrides", str(overrides),
+        "--store", str(tmp_path / "store"),
+    ])
+    assert code == 0
+    assert not [message for message in caplog.messages if "names no system" in message]

@@ -340,3 +340,12 @@ def test_evaluate_requires_criticality(model):
     assessment = make_assessment(model, criticality_level=None)
     with pytest.raises(ValueError):
         evaluate(assessment, model)
+
+
+def test_level_error_messages_are_pinned(model):
+    with pytest.raises(ValueError, match=r"^level must be in 1\.\.5, got 6$"):
+        satisfies_level(make_assessment(model), 6, model)
+    with pytest.raises(
+        ValueError, match=r"^required maturity must be one of 1, 3, 5, got 2$"
+    ):
+        classify_gaps(make_assessment(model), model, required=2)

@@ -25,6 +25,7 @@ from mlquality.store import (
     model_fingerprint,
     persist_assessment,
     sanitize_component,
+    write_text_atomic,
 )
 
 
@@ -350,3 +351,40 @@ def test_history_scope_equals_filtered_full_listing(identities, team, system):
             if (team is None or row.team == team)
             and (system is None or row.system == system)
         ]
+
+
+def test_atomic_write_leaves_another_writers_temp_file_alone(tmp_path):
+    target = tmp_path / "report.html"
+    theirs = tmp_path / "report.html.tmp"
+    theirs.write_text("another writer, mid-write")
+    write_text_atomic(target, "mine\n")
+    assert target.read_text(encoding="utf-8") == "mine\n"
+    assert theirs.read_text() == "another writer, mid-write"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "report.html", "report.html.tmp",
+    ]
+
+
+def test_atomic_write_uses_a_fresh_temp_name_per_call(tmp_path, monkeypatch):
+    moved = []
+    replace = store.os.replace
+
+    def recording_replace(source, destination):
+        moved.append(Path(source))
+        replace(source, destination)
+
+    monkeypatch.setattr(store.os, "replace", recording_replace)
+    target = tmp_path / "snapshot.json"
+    write_text_atomic(target, "one")
+    write_text_atomic(target, "two")
+    assert len(set(moved)) == 2
+    assert all(path.parent == tmp_path for path in moved)
+    assert [path.name for path in tmp_path.iterdir()] == ["snapshot.json"]
+
+
+def test_atomic_write_keeps_the_plain_file_mode(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    atomic = tmp_path / "atomic.txt"
+    write_text_atomic(atomic, "x")
+    assert atomic.stat().st_mode == plain.stat().st_mode
