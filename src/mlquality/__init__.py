@@ -9,140 +9,101 @@ self-contained HTML report. Assessments can be written by hand (gaps CSV),
 collected through a questionnaire, or inferred automatically from registry
 metadata; results are stored versioned on disk and aggregated into fleet
 views.
+
+The public names below are importable from the package itself, but each
+submodule is imported only when one of its names is first asked for, so
+a command that never parses YAML or aggregates a fleet does not pay for
+loading that code.
 """
 
-from .analytics import (
-    ComplianceRow,
-    DistributionSummary,
-    compliance_by_subcharacteristic,
-    render_compliance_chart,
-    render_trend_chart,
-    score_distribution,
-)
-from .assessment import (
-    Assessment,
-    GapEntry,
-    parse_assessment,
-    serialize_assessment,
-)
-from .errors import (
-    GapFileError,
-    MlQualityError,
-    ModelConfigError,
-    OverrideError,
-    SnapshotError,
-    StoreError,
-)
-from .form import questionnaire_template
-from .model import (
-    Characteristic,
-    Demand,
-    Gap,
-    QualityModel,
-    SubCharacteristic,
-    default_model,
-    load_quality_model,
-    validate_model,
-)
-from .registry import (
-    ManualOverrides,
-    RegistrySnapshot,
-    SystemMetadata,
-    fleet_percentiles,
-    infer_gaps,
-    load_overrides,
-    load_registry_snapshot,
-    parse_registry_snapshot,
-    usage_from_metadata,
-)
-from .report import ReportDocument, render_radar, render_report
-from .scoring import (
-    AssessmentResult,
-    BusinessCriticality,
-    CriticalityLevel,
-    FleetStats,
-    GapColor,
-    Recommendation,
-    SystemUsage,
-    characteristic_scores,
-    classify_gaps,
-    determine_criticality,
-    evaluate,
-    maturity_level,
-    quality_score,
-    recommendations,
-    required_maturity,
-    satisfies_level,
-)
-from .store import (
-    HistoryRow,
-    StoredAssessment,
-    history,
-    load_assessment,
-    model_fingerprint,
-    persist_assessment,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assessment",
-    "AssessmentResult",
-    "BusinessCriticality",
-    "Characteristic",
-    "ComplianceRow",
-    "CriticalityLevel",
-    "Demand",
-    "DistributionSummary",
-    "FleetStats",
-    "Gap",
-    "GapColor",
-    "GapEntry",
-    "GapFileError",
-    "HistoryRow",
-    "ManualOverrides",
-    "MlQualityError",
-    "ModelConfigError",
-    "OverrideError",
-    "QualityModel",
-    "Recommendation",
-    "RegistrySnapshot",
-    "ReportDocument",
-    "SnapshotError",
-    "StoreError",
-    "StoredAssessment",
-    "SubCharacteristic",
-    "SystemMetadata",
-    "SystemUsage",
-    "characteristic_scores",
-    "classify_gaps",
-    "compliance_by_subcharacteristic",
-    "default_model",
-    "determine_criticality",
-    "evaluate",
-    "fleet_percentiles",
-    "history",
-    "infer_gaps",
-    "load_assessment",
-    "load_overrides",
-    "load_quality_model",
-    "load_registry_snapshot",
-    "maturity_level",
-    "model_fingerprint",
-    "parse_assessment",
-    "parse_registry_snapshot",
-    "persist_assessment",
-    "quality_score",
-    "questionnaire_template",
-    "recommendations",
-    "render_compliance_chart",
-    "render_radar",
-    "render_report",
-    "render_trend_chart",
-    "required_maturity",
-    "satisfies_level",
-    "score_distribution",
-    "serialize_assessment",
-    "usage_from_metadata",
-    "validate_model",
-]
+# submodule -> the public names it defines
+_PUBLIC = {
+    "analytics": (
+        "ComplianceRow",
+        "DistributionSummary",
+        "compliance_by_subcharacteristic",
+        "render_compliance_chart",
+        "render_trend_chart",
+        "score_distribution",
+    ),
+    "assessment": ("Assessment", "GapEntry", "parse_assessment", "serialize_assessment"),
+    "errors": (
+        "GapFileError",
+        "MlQualityError",
+        "ModelConfigError",
+        "OverrideError",
+        "SnapshotError",
+        "StoreError",
+    ),
+    "form": ("questionnaire_template",),
+    "model": (
+        "Characteristic",
+        "Demand",
+        "Gap",
+        "QualityModel",
+        "SubCharacteristic",
+        "default_model",
+        "load_quality_model",
+        "validate_model",
+    ),
+    "registry": (
+        "ManualOverrides",
+        "RegistrySnapshot",
+        "SystemMetadata",
+        "fleet_percentiles",
+        "infer_gaps",
+        "load_overrides",
+        "load_registry_snapshot",
+        "parse_registry_snapshot",
+        "usage_from_metadata",
+    ),
+    "report": ("ReportDocument", "render_radar", "render_report"),
+    "scoring": (
+        "AssessmentResult",
+        "BusinessCriticality",
+        "CriticalityLevel",
+        "FleetStats",
+        "GapColor",
+        "Recommendation",
+        "SystemUsage",
+        "characteristic_scores",
+        "classify_gaps",
+        "determine_criticality",
+        "evaluate",
+        "maturity_level",
+        "quality_score",
+        "recommendations",
+        "required_maturity",
+        "satisfies_level",
+    ),
+    "store": (
+        "HistoryRow",
+        "StoredAssessment",
+        "history",
+        "load_assessment",
+        "model_fingerprint",
+        "persist_assessment",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -13,32 +13,16 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import importlib
 import logging
 import os
 import sys
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
-from .analytics import (
-    compliance_by_subcharacteristic,
-    compliance_csv,
-    distribution_csv,
-    render_compliance_chart,
-    render_trend_chart,
-    score_distribution,
-)
 from .assessment import parse_assessment
 from .errors import GapFileError, MlQualityError, ModelConfigError, MultiProblemError
-from .form import questionnaire_template
 from .model import QualityModel, load_quality_model, validate_model
-from .registry import (
-    check_field,
-    fleet_percentiles,
-    infer_gaps,
-    load_overrides,
-    load_registry_snapshot,
-    usage_from_metadata,
-)
 from .report import render_report
 from .scoring import (
     BusinessCriticality,
@@ -49,6 +33,7 @@ from .scoring import (
 )
 from .store import (
     REPORT_FILE,
+    check_identity,
     history,
     load_assessment,
     persist_assessment,
@@ -56,6 +41,51 @@ from .store import (
     write_text_atomic,
 )
 from .yamldoc import load_yaml, read_text
+
+# Names used only by some commands, bound as globals of this module by the
+# command that runs them (`_bind`): importing registry (and with it
+# PyYAML), analytics or form would cost `mlq assess` and `mlq report`
+# start-up time for code they never run. Looked up from outside, as
+# `mlquality.cli.<name>`, they are bound on first access.
+_DEFERRED = {
+    "registry": (
+        "check_field",
+        "fleet_percentiles",
+        "infer_gaps",
+        "load_overrides",
+        "load_registry_snapshot",
+        "usage_from_metadata",
+    ),
+    "analytics": (
+        "compliance_by_subcharacteristic",
+        "compliance_csv",
+        "distribution_csv",
+        "render_compliance_chart",
+        "render_trend_chart",
+        "score_distribution",
+    ),
+    "form": ("questionnaire_template",),
+}
+
+
+def _bind(module: str) -> None:
+    """Import `module` and bind the names this module uses from it.
+
+    A name already bound is kept, so a replacement set from outside (a
+    tracing wrapper, a test double) stays in place.
+    """
+    source = importlib.import_module(f".{module}", __package__)
+    for name in _DEFERRED[module]:
+        globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 logger = logging.getLogger(__name__)
 
@@ -110,6 +140,7 @@ def cmd_assess(args) -> int:
             justification="provided on the command line",
         )
     elif args.usage and args.fleet:
+        _bind("registry")
         fleet = fleet_percentiles(load_registry_snapshot(Path(args.fleet)).systems)
         criticality = determine_criticality(_load_usage(args.usage), fleet)
     else:
@@ -131,8 +162,10 @@ def cmd_assess(args) -> int:
         family_members=family,
         criticality=criticality,
     )
+    store = _store_root(args)
+    check_identity(store, assessment)
     result = evaluate(assessment, model)
-    stored = persist_assessment(_store_root(args), result, model)
+    stored = persist_assessment(store, result, model)
     print(
         f"score={result.quality_score} maturity={result.maturity} "
         f"required={result.required_maturity}"
@@ -142,6 +175,7 @@ def cmd_assess(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    _bind("registry")
     model = _load_model(args)
     snapshot = load_registry_snapshot(Path(args.registry))
     overrides = load_overrides(Path(args.overrides) if args.overrides else None)
@@ -152,7 +186,7 @@ def cmd_infer(args) -> int:
     fleet = fleet_percentiles(records)
     # a typo here would silently read as "no human review"
     known = {record.system_id for record in records}
-    for system_id in sorted(set(overrides.per_system) - known, key=str):
+    for system_id in sorted(set(overrides.per_system) - known):
         logger.warning(
             "overrides: systems.%s names no system in the registry snapshot", system_id
         )
@@ -162,6 +196,7 @@ def cmd_infer(args) -> int:
             record, overrides.for_system(record.system_id), fleet, model, date=date
         )
         criticality = determine_criticality(usage_from_metadata(record), fleet)
+        check_identity(store, assessment)
         result = evaluate(replace(assessment, criticality=criticality), model)
         persist_assessment(store, result, model)
         print(
@@ -220,6 +255,7 @@ def _latest_per_system(rows, keep) -> list[tuple[str, str, dt.date]]:
 
 
 def cmd_fleet(args) -> int:
+    _bind("analytics")
     store = _store_root(args)
     rows = history(store)
     if not rows:
@@ -229,10 +265,8 @@ def cmd_fleet(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    (out / "distribution.csv").write_text(
-        distribution_csv(score_distribution(rows)), encoding="utf-8"
-    )
-    (out / "trend.svg").write_text(render_trend_chart(rows), encoding="utf-8")
+    write_text_atomic(out / "distribution.csv", distribution_csv(score_distribution(rows)))
+    write_text_atomic(out / "trend.svg", render_trend_chart(rows))
     written = ["distribution.csv", "trend.svg"]
 
     if args.before is not None:
@@ -250,12 +284,8 @@ def cmd_fleet(args) -> int:
         compliance = compliance_by_subcharacteristic(
             [results[key] for key in before], [results[key] for key in after]
         )
-        (out / "compliance.csv").write_text(
-            compliance_csv(compliance), encoding="utf-8"
-        )
-        (out / "compliance.svg").write_text(
-            render_compliance_chart(compliance), encoding="utf-8"
-        )
+        write_text_atomic(out / "compliance.csv", compliance_csv(compliance))
+        write_text_atomic(out / "compliance.svg", render_compliance_chart(compliance))
         written += ["compliance.csv", "compliance.svg"]
     for name in written:
         print(f"wrote: {out / name}")
@@ -294,10 +324,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_form(args) -> int:
+    _bind("form")
     model = _load_model(args)
     target = Path(args.out)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(questionnaire_template(model), encoding="utf-8")
+    write_text_atomic(target, questionnaire_template(model))
     print(f"form: {target}")
     return 0
 

@@ -9,7 +9,6 @@ fixed in this schema version.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
@@ -154,6 +153,10 @@ class QualityModel:
     @cached_property
     def fingerprint(self) -> str:
         """Content hash of everything in the model that affects results."""
+        # imported here: only commands that persist or compare a snapshot
+        # need it, and loading OpenSSL costs every other command start-up time
+        import hashlib
+
         payload = {
             "sub_characteristics": [
                 {

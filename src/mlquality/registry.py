@@ -42,7 +42,7 @@ from .errors import OverrideError, SnapshotError
 from .model import GAP_ALIASES, Gap, QualityModel
 from .percentiles import nearest_rank
 from .scoring import FleetStats, SystemUsage
-from .yamldoc import load_yaml, read_text
+from .yamldoc import compose_yaml, load_yaml, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -664,6 +664,14 @@ class OverridesDocument:
         )
 
 
+def _systems_keys_as_written(text: str) -> set[str]:
+    """The keys of the top-level `systems` mapping, as spelled in `text`."""
+    for key, value in compose_yaml(text).value:
+        if key.value == "systems" and isinstance(value.value, list):
+            return {node.value for node, _ in value.value if isinstance(node.value, str)}
+    return set()
+
+
 def load_overrides(source: str | Path | None) -> OverridesDocument:
     """Parse a manual-overrides document (YAML text or file path).
 
@@ -687,7 +695,24 @@ def load_overrides(source: str | Path | None) -> OverridesDocument:
     if not isinstance(raw_systems, dict):
         problems.append("systems: expected a mapping of system id to overrides")
         raw_systems = {}
+    written: set[str] | None = None
     for system_id, raw in raw_systems.items():
+        if not isinstance(system_id, str):
+            # an unquoted `42:` reads as a number, which never matches the
+            # registry's text id "42": it is read as written when written
+            # in plain decimal; `007:`, `yes:` or `1.0:` must be quoted
+            if written is None:
+                written = _systems_keys_as_written(text)
+            if type(system_id) is not int or str(system_id) not in written:
+                problems.append(
+                    f"systems.{system_id}: unquoted system id reads as the "
+                    f"{type(system_id).__name__} {system_id!r}; quote the system id"
+                )
+                continue
+            system_id = str(system_id)
+            if system_id in raw_systems:
+                problems.append(f"systems.{system_id}: given both quoted and unquoted")
+                continue
         if not isinstance(raw, dict):
             problems.append(f"systems.{system_id}: expected a mapping")
             continue

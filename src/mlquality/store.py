@@ -185,6 +185,41 @@ def write_text_atomic(path: Path, content: str) -> None:
         raise
 
 
+def _date_directory(root: str | Path, assessment: Assessment) -> Path:
+    return (
+        Path(root)
+        / sanitize_component(assessment.team)
+        / sanitize_component(assessment.system_id)
+        / assessment.date.isoformat()
+    )
+
+
+def check_identity(root: str | Path, assessment: Assessment) -> None:
+    """Raise StoreError if persisting `assessment` would overwrite the
+    snapshot of another team or system.
+
+    Names that differ only where `sanitize_component` maps them alike,
+    such as `a b` and `a_b`, share a directory; a snapshot already in the
+    target date directory that records another identity is refused rather
+    than replaced. A snapshot that cannot be read records no identity and
+    may be replaced. Costs one stat when the directory holds no snapshot.
+    """
+    snapshot = _date_directory(root, assessment) / SNAPSHOT_FILE
+    if not snapshot.is_file():
+        return
+    try:
+        identity = _read_snapshot(snapshot)["identity"]
+        stored = (identity["team"], identity["system"])
+    except (StoreError, KeyError, TypeError):
+        return
+    if stored != (assessment.team, assessment.system_id):
+        raise StoreError(
+            f"{snapshot} holds team {stored[0]!r} system {stored[1]!r}; "
+            f"team {assessment.team!r} system {assessment.system_id!r} maps to "
+            "the same directory and would overwrite it"
+        )
+
+
 def persist_assessment(
     root: str | Path, result: AssessmentResult, model: QualityModel
 ) -> StoredAssessment:
@@ -192,14 +227,11 @@ def persist_assessment(
 
     All three files are deterministic functions of the result and model,
     so persisting the same inputs twice leaves identical bytes on disk.
+    Whatever the target directory holds is replaced; `check_identity`
+    first refuses a directory holding another team's or system's result.
     """
     assessment = result.assessment
-    directory = (
-        Path(root)
-        / sanitize_component(assessment.team)
-        / sanitize_component(assessment.system_id)
-        / assessment.date.isoformat()
-    )
+    directory = _date_directory(root, assessment)
     directory.mkdir(parents=True, exist_ok=True)
 
     gaps_csv = directory / GAPS_FILE

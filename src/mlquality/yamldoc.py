@@ -5,6 +5,9 @@ configurations.
 libyaml's parser is used when PyYAML was built with it, and PyYAML's
 pure-Python parser otherwise. Both feed the same safe constructor, so they
 return equal documents; only the wording of syntax error messages differs.
+PyYAML is imported on the first parse, not with this module, so commands
+that read no YAML do not load it; `LOADER`, the parser class in use, is
+resolved then too.
 """
 
 from __future__ import annotations
@@ -12,9 +15,20 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable
 
-import yaml
 
-LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+def _loader() -> Any:
+    """The parser class in use, `LOADER`, resolved on first use."""
+    if "LOADER" not in globals():
+        import yaml
+
+        globals()["LOADER"] = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    return globals()["LOADER"]
+
+
+def __getattr__(name: str) -> Any:
+    if name == "LOADER":
+        return _loader()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def read_text(path: Path, error: Callable[[str], Exception]) -> str:
@@ -39,6 +53,8 @@ def load_yaml(text: str, error: Callable[[str], Exception]) -> Any:
     message starting "invalid YAML:" and naming the line and column where
     the parser could tell.
     """
+    import yaml
+
     try:
         return _load(text)
     except (yaml.YAMLError, ValueError) as exc:
@@ -47,8 +63,18 @@ def load_yaml(text: str, error: Callable[[str], Exception]) -> Any:
         raise error(f"invalid YAML: {exc}") from exc
 
 
+def compose_yaml(text: str) -> Any:
+    """The node tree of one YAML document already known to parse, where
+    each scalar keeps the text it was written as."""
+    import yaml
+
+    return yaml.compose(text, Loader=_loader())
+
+
 def _load(text: str) -> Any:
-    loader = LOADER(text)
+    import yaml
+
+    loader = _loader()(text)
     try:
         return loader.get_single_data()
     except ValueError as exc:

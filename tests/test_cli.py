@@ -587,3 +587,139 @@ def test_infer_without_unknown_overrides_systems_warns_nothing(tmp_path, registr
     ])
     assert code == 0
     assert not [message for message in caplog.messages if "names no system" in message]
+
+
+@pytest.mark.parametrize(
+    "view", ["distribution.csv", "trend.svg", "compliance.csv", "compliance.svg"]
+)
+def test_fleet_write_failure_leaves_no_partial_view(
+    tmp_path, registry, monkeypatch, capsys, view
+):
+    import mlquality.store as store_module
+
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+    out = tmp_path / "fleet"
+    out.mkdir()
+    (out / view).write_text("previous view")
+    real_replace = store_module.os.replace
+
+    def failing_replace(source, destination):
+        if destination.name == view:
+            raise OSError("disk full")
+        real_replace(source, destination)
+
+    monkeypatch.setattr(store_module.os, "replace", failing_replace)
+    code = main([
+        "fleet", "--store", str(store), "--out", str(out),
+        "--before", "2026-07-01", "--after", "2026-07-01",
+    ])
+    assert code == 1
+    assert "disk full" in capsys.readouterr().err
+    assert (out / view).read_text() == "previous view"
+    assert not [path.name for path in out.iterdir() if path.name.endswith(".tmp")]
+
+
+def test_form_write_failure_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    import mlquality.store as store_module
+
+    def failing_replace(source, destination):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(store_module.os, "replace", failing_replace)
+    code = main(["form", "--out", str(tmp_path / "form.csv")])
+    assert code == 1
+    assert "disk full" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_infer_reads_an_unquoted_decimal_overrides_id_as_text(tmp_path, capsys, caplog):
+    registry = tmp_path / "snapshot.yaml"
+    registry.write_text(REGISTRY_YAML.replace("system_id: sandbox", 'system_id: "42"'))
+    overrides = tmp_path / "overrides.yaml"
+    overrides.write_text("systems:\n  42: {readability: full, modularity: full}\n")
+    store = tmp_path / "store"
+    code = main([
+        "infer", "--registry", str(registry), "--overrides", str(overrides),
+        "--store", str(store),
+    ])
+    assert code == 0
+    assert not [message for message in caplog.messages if "names no system" in message]
+    snapshot = json.loads((store / "lab" / "42" / "2026-07-01" / "snapshot.json").read_text())
+    reasons = {row["sub_characteristic"]: row["reason"] for row in snapshot["gaps"]}
+    assert "no human review" not in reasons["readability"]
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("007", "systems.7: unquoted system id reads as the int 7; quote the system id"),
+        ("yes", "systems.True: unquoted system id reads as the bool True; quote the system id"),
+        ("1.5", "systems.1.5: unquoted system id reads as the float 1.5; quote the system id"),
+        ("2026-01-01", "systems.2026-01-01: unquoted system id reads as the date "
+         "datetime.date(2026, 1, 1); quote the system id"),
+    ],
+    ids=["octal", "bool", "float", "date"],
+)
+def test_infer_rejects_an_overrides_id_that_is_not_text(
+    tmp_path, registry, capsys, key, message
+):
+    overrides = tmp_path / "overrides.yaml"
+    overrides.write_text(f"systems:\n  {key}: {{readability: full}}\n")
+    code = main([
+        "infer", "--registry", str(registry), "--overrides", str(overrides),
+        "--store", str(tmp_path / "store"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "store").exists()
+
+
+def test_infer_rejects_an_overrides_id_given_quoted_and_unquoted(tmp_path, registry, capsys):
+    overrides = tmp_path / "overrides.yaml"
+    overrides.write_text('systems:\n  "42": {}\n  42: {readability: full}\n')
+    code = main([
+        "infer", "--registry", str(registry), "--overrides", str(overrides),
+        "--store", str(tmp_path / "store"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "systems.42: given both quoted and unquoted\n"
+
+
+def test_assess_refuses_to_overwrite_another_team_in_a_shared_directory(
+    tmp_path, gaps_csv, capsys
+):
+    store = tmp_path / "store"
+
+    def assess(team, criticality):
+        return main([
+            "assess", "--gaps", str(gaps_csv), "--team", team, "--system", "ranker",
+            "--date", "2026-01-05", "--criticality", criticality, "--store", str(store),
+        ])
+
+    assert assess("a b", "5") == 0
+    directory = store / "a_b" / "ranker" / "2026-01-05"
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+    capsys.readouterr()
+    assert assess("a_b", "1") == 1
+    assert capsys.readouterr().err == (
+        f"{directory / 'snapshot.json'} holds team 'a b' system 'ranker'; "
+        "team 'a_b' system 'ranker' maps to the same directory and would overwrite it\n"
+    )
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+    assert assess("a b", "5") == 0
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+
+
+def test_infer_refuses_to_overwrite_another_system_in_a_shared_directory(tmp_path, capsys):
+    registry = tmp_path / "snapshot.yaml"
+    registry.write_text(REGISTRY_YAML.replace("system_id: forecaster", 'system_id: "x y"'))
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+    registry.write_text(REGISTRY_YAML.replace("system_id: forecaster", "system_id: x_y"))
+    capsys.readouterr()
+    code = main(["infer", "--registry", str(registry), "--store", str(store)])
+    assert code == 1
+    assert "holds team 'supply' system 'x y'; team 'supply' system 'x_y'" in (
+        capsys.readouterr().err
+    )

@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlquality.store as store
-from conftest import make_assessment
+from conftest import DATE, make_assessment
 from mlquality.errors import StoreError
 from mlquality.model import Gap, default_model, load_quality_model
 from mlquality.report import render_report
 from mlquality.scoring import evaluate
 from mlquality.store import (
     HistoryRow,
+    check_identity,
     history,
     load_assessment,
     model_fingerprint,
@@ -388,3 +389,36 @@ def test_atomic_write_keeps_the_plain_file_mode(tmp_path):
     atomic = tmp_path / "atomic.txt"
     write_text_atomic(atomic, "x")
     assert atomic.stat().st_mode == plain.stat().st_mode
+
+
+def test_check_identity_refuses_another_identity_in_the_same_directory(model, tmp_path):
+    _, stored = _persist(model, tmp_path, team="a b", system_id="x y")
+    for team, system in (("a_b", "x y"), ("a b", "x_y"), ("a_b", "x_y")):
+        with pytest.raises(StoreError) as caught:
+            check_identity(tmp_path, make_assessment(model, team=team, system_id=system))
+        assert str(caught.value) == (
+            f"{stored.snapshot} holds team 'a b' system 'x y'; "
+            f"team {team!r} system {system!r} maps to the same directory and would "
+            "overwrite it"
+        )
+
+
+def test_check_identity_allows_the_same_identity_and_other_dates(model, tmp_path):
+    _persist(model, tmp_path, team="a b", system_id="x")
+    for team, date, family in (
+        ("a b", DATE, ()),
+        ("a b", DATE, ("x", "y")),
+        ("a_b", dt.date(2026, 2, 1), ()),
+        ("new", DATE, ()),
+    ):
+        assessment = make_assessment(
+            model, team=team, system_id="x", date=date, family=family
+        )
+        check_identity(tmp_path, assessment)
+
+
+@pytest.mark.parametrize("content", ["{ not json", '{"snapshot_version": 1}', "[]"])
+def test_check_identity_lets_an_unreadable_snapshot_be_replaced(model, tmp_path, content):
+    _, stored = _persist(model, tmp_path, team="a b", system_id="x")
+    stored.snapshot.write_text(content)
+    check_identity(tmp_path, make_assessment(model, team="a_b", system_id="x"))
