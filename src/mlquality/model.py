@@ -122,7 +122,8 @@ class QualityModel:
     emitted when the attribute has a gap.
 
     A model is never changed after construction: the derived views below
-    (ids, rows per characteristic, fingerprint) are built once and kept.
+    (ids, rows per characteristic, fingerprint, first violated levels) are
+    built once and kept.
     """
 
     sub_characteristics: tuple[SubCharacteristic, ...]
@@ -173,6 +174,18 @@ class QualityModel:
         }
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    @cached_property
+    def _first_violated(self) -> dict[str, tuple[int, ...]]:
+        """Per attribute, indexed by gap: the lowest level whose demand the
+        gap violates, or 6 when it violates none."""
+        return {
+            sub_id: tuple(
+                next((level for level in LEVELS if not row[level - 1].satisfied_by(gap)), 6)
+                for gap in Gap
+            )
+            for sub_id, row in self.matrix.items()
+        }
 
     def sub(self, sub_id: str) -> SubCharacteristic:
         return self._by_id[sub_id]

@@ -1,6 +1,13 @@
 """Scoring engine: quality score, maturity level, business criticality,
 gap colors and ordered recommendations.
 
+Maturity, level checks and colors all rest on one question per attribute,
+answered once per model: which is the lowest level whose demand its gap
+violates (6 when none)? Maturity is the lowest answer over all attributes,
+minus one. A level is satisfied when every answer lies above it. A gap is
+red when its answer is maturity + 1, orange when it is at most the required
+level, yellow above that, and green when there is no violated level.
+
 All functions are pure and operate on immutable inputs, so assessments can
 be evaluated in parallel without shared state.
 """
@@ -11,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from .assessment import Assessment, check_gaps_total
-from .model import LEVELS, Characteristic, Demand, Gap, QualityModel
+from .model import LEVELS, Characteristic, QualityModel
 
 
 class CriticalityLevel(IntEnum):
@@ -106,10 +113,6 @@ def quality_score(assessment: Assessment, model: QualityModel) -> int:
     attribute.
     """
     check_gaps_total(assessment, model)
-    return _quality_score(assessment, model)
-
-
-def _quality_score(assessment: Assessment, model: QualityModel) -> int:
     total = sum(entry.gap for entry in assessment.gaps.values())
     return _floor_score(total, len(model.ids))
 
@@ -123,12 +126,6 @@ def characteristic_scores(
     one characteristic; these are the radar chart axis values.
     """
     check_gaps_total(assessment, model)
-    return _characteristic_scores(assessment, model)
-
-
-def _characteristic_scores(
-    assessment: Assessment, model: QualityModel
-) -> dict[Characteristic, int]:
     scores: dict[Characteristic, int] = {}
     for characteristic in model.characteristics:
         rows = model.rows_of(characteristic)
@@ -142,8 +139,9 @@ def satisfies_level(assessment: Assessment, level: int, model: QualityModel) -> 
     on it."""
     if level not in LEVELS:
         raise ValueError(f"level must be in 1..5, got {level}")
+    first_violated = model._first_violated
     return all(
-        model.demand(sub_id, level).satisfied_by(entry.gap)
+        first_violated[sub_id][entry.gap] > level
         for sub_id, entry in assessment.gaps.items()
     )
 
@@ -151,18 +149,15 @@ def satisfies_level(assessment: Assessment, level: int, model: QualityModel) -> 
 def maturity_level(assessment: Assessment, model: QualityModel) -> int:
     """The highest satisfied maturity level, or 0 when even level 1 fails.
 
-    Matrix rows are non-decreasing, so satisfied levels form a prefix of
-    1..5 and the highest one is well-defined.
+    It is one below the lowest level any attribute's gap first violates;
+    matrix rows are non-decreasing, so every level below that one is
+    satisfied too.
     """
     check_gaps_total(assessment, model)
-    return _maturity_level(assessment, model)
-
-
-def _maturity_level(assessment: Assessment, model: QualityModel) -> int:
-    for level in reversed(LEVELS):
-        if satisfies_level(assessment, level, model):
-            return level
-    return 0
+    first_violated = model._first_violated
+    return min(
+        first_violated[sub_id][entry.gap] for sub_id, entry in assessment.gaps.items()
+    ) - 1
 
 
 def determine_criticality(usage: SystemUsage, fleet: FleetStats) -> BusinessCriticality:
@@ -224,38 +219,27 @@ def classify_gaps(
 ) -> dict[str, GapColor]:
     """Color every attribute by how urgently its gap blocks progression.
 
-    With M the current maturity: an attribute with no gap is green. An
-    attribute whose gap first violates a demand at level M+1 is red; at a
-    later level up to `required`, orange; only above `required`, yellow.
-    A fully mature system is all green. Every gapped attribute violates
-    level 5, so the first violated level always exists.
+    With M the current maturity, each attribute is colored by the first
+    level its gap violates: none (no gap, or a fully mature system) is
+    green; level M+1 is red; a later level up to `required`, orange; only
+    a level above `required`, yellow. No gap first violates a level at or
+    below M, by the definition of maturity.
     """
     if required not in _REQUIRED_LEVELS:
         raise ValueError(
             "required maturity must be one of "
             f"{', '.join(map(str, _REQUIRED_LEVELS))}, got {required}"
         )
-    return _classify_gaps(
-        assessment, model, maturity_level(assessment, model), required
-    )
-
-
-def _classify_gaps(
-    assessment: Assessment, model: QualityModel, maturity: int, required: int
-) -> dict[str, GapColor]:
+    next_level = maturity_level(assessment, model) + 1
+    first_violated = model._first_violated
     colors: dict[str, GapColor] = {}
     for sub_id, entry in assessment.gaps.items():
-        if entry.gap is Gap.NO_GAP or maturity == LEVELS[-1]:
+        level = first_violated[sub_id][entry.gap]
+        if level > LEVELS[-1]:
             colors[sub_id] = GapColor.GREEN
-            continue
-        first_violated = next(
-            level
-            for level in LEVELS[maturity:]  # the levels above `maturity`
-            if not model.demand(sub_id, level).satisfied_by(entry.gap)
-        )
-        if first_violated == maturity + 1:
+        elif level == next_level:
             colors[sub_id] = GapColor.RED
-        elif first_violated <= required:
+        elif level <= required:
             colors[sub_id] = GapColor.ORANGE
         else:
             colors[sub_id] = GapColor.YELLOW
@@ -289,20 +273,17 @@ def evaluate(assessment: Assessment, model: QualityModel) -> AssessmentResult:
     """Derive the full result bundle for one assessment.
 
     The assessment must carry its business criticality; use
-    `determine_criticality` or supply it manually first. Totality is
-    checked and maturity computed once, then shared by every figure.
+    `determine_criticality` or supply it manually first.
     """
     if assessment.criticality is None:
         raise ValueError("assessment has no business criticality attached")
-    check_gaps_total(assessment, model)
     required = required_maturity(assessment.criticality)
-    maturity = _maturity_level(assessment, model)
-    colors = _classify_gaps(assessment, model, maturity, required)
+    colors = classify_gaps(assessment, model, required)
     return AssessmentResult(
         assessment=assessment,
-        quality_score=_quality_score(assessment, model),
-        characteristic_scores=_characteristic_scores(assessment, model),
-        maturity=maturity,
+        quality_score=quality_score(assessment, model),
+        characteristic_scores=characteristic_scores(assessment, model),
+        maturity=maturity_level(assessment, model),
         required_maturity=required,
         colors=colors,
         recommendations=recommendations(assessment, colors, model),
