@@ -1,11 +1,17 @@
 """Versioned on-disk storage of assessment results.
 
 Each evaluation lands in `<root>/<team>/<system>/<date>/` with three
-files: the gaps CSV, a canonical JSON snapshot of the full result, and the
-rendered HTML report. The snapshot alone is enough to reproduce the report
-byte for byte, so results can be re-derived long after the input files are
-gone. Snapshot bytes are canonical (sorted keys, fixed indentation, UTF-8,
-newline-terminated), which is what makes re-persisting a no-op.
+files: the gaps CSV, the rendered HTML report and a canonical JSON snapshot
+of the full result, written in that order. The snapshot alone is enough to
+reproduce the report byte for byte, so results can be re-derived long after
+the input files are gone. Snapshot bytes are canonical (sorted keys, fixed
+indentation, UTF-8, newline-terminated), which is what makes re-persisting
+a no-op.
+
+The snapshot marks a complete directory: it is written last, and history,
+fleet views and reports read nothing else. A persist that stops early
+leaves a new directory without a snapshot, which no reader sees, and
+leaves a re-persisted directory showing its previous complete result.
 """
 
 from __future__ import annotations
@@ -227,23 +233,25 @@ def persist_assessment(
 
     All three files are deterministic functions of the result and model,
     so persisting the same inputs twice leaves identical bytes on disk.
+    The snapshot is written last, once the other two are in place.
     Whatever the target directory holds is replaced; `check_identity`
     first refuses a directory holding another team's or system's result.
     """
     assessment = result.assessment
     directory = _date_directory(root, assessment)
+    payload = _snapshot_payload(result, model)
     directory.mkdir(parents=True, exist_ok=True)
 
     gaps_csv = directory / GAPS_FILE
     snapshot = directory / SNAPSHOT_FILE
     report = directory / REPORT_FILE
     write_text_atomic(gaps_csv, serialize_assessment(assessment, model))
-    payload = _snapshot_payload(result, model)
+    write_text_atomic(report, render_report(result, model).html)
+    # last: the snapshot is what marks the directory complete
     write_text_atomic(
         snapshot,
         json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
     )
-    write_text_atomic(report, render_report(result, model).html)
     return StoredAssessment(
         team=assessment.team,
         system=assessment.system_id,

@@ -422,3 +422,76 @@ def test_check_identity_lets_an_unreadable_snapshot_be_replaced(model, tmp_path,
     _, stored = _persist(model, tmp_path, team="a b", system_id="x")
     stored.snapshot.write_text(content)
     check_identity(tmp_path, make_assessment(model, team="a_b", system_id="x"))
+
+
+WRITE_ORDER = ["gaps.csv", "report.html", "snapshot.json"]
+
+
+def _fail_kth_write(monkeypatch, k: int) -> list[str]:
+    """Make the k-th `write_text_atomic` call of the store raise; returns
+    the names of the files it was asked to write, in order."""
+    asked: list[str] = []
+    real = store.write_text_atomic
+
+    def failing(path, content):
+        asked.append(path.name)
+        if len(asked) == k:
+            raise OSError(f"injected failure writing {path.name}")
+        real(path, content)
+
+    monkeypatch.setattr(store, "write_text_atomic", failing)
+    return asked
+
+
+def _report_exit(root, capsys) -> tuple[int, str]:
+    from mlquality.cli import main
+
+    capsys.readouterr()
+    code = main(["report", "--store", str(root), "--team", "search", "--system", "ranker"])
+    return code, capsys.readouterr().err
+
+
+def test_interrupted_first_persist_leaves_nothing_readers_see(
+    model, tmp_path, monkeypatch, capsys
+):
+    result = evaluate(make_assessment(model, {"monitoring": Gap.SMALL}), model)
+    for k in (1, 2, 3):
+        root = tmp_path / f"fail-{k}"
+        asked = _fail_kth_write(monkeypatch, k)
+        with pytest.raises(OSError, match="injected"):
+            persist_assessment(root, result, model)
+        monkeypatch.undo()
+        assert asked == WRITE_ORDER[:k]
+        directory = root / "search" / "ranker" / DATE.isoformat()
+        assert sorted(path.name for path in directory.iterdir()) == WRITE_ORDER[: k - 1]
+        assert history(root) == []
+        assert _report_exit(root, capsys) == (
+            1, f"not found: no assessments under {root / 'search' / 'ranker'}\n"
+        )
+
+
+def test_interrupted_re_persist_keeps_the_previous_result(
+    model, tmp_path, monkeypatch, capsys
+):
+    previous = evaluate(make_assessment(model, {"monitoring": Gap.SMALL}), model)
+    replacement = evaluate(
+        make_assessment(model, {"monitoring": Gap.LARGE, "accuracy": Gap.LARGE}), model
+    )
+    assert replacement.quality_score != previous.quality_score
+    for k in (1, 2, 3):
+        root = tmp_path / f"fail-{k}"
+        stored = persist_assessment(root, previous, model)
+        before = {path.name: path.read_bytes() for path in stored.directory.iterdir()}
+        asked = _fail_kth_write(monkeypatch, k)
+        with pytest.raises(OSError, match="injected"):
+            persist_assessment(root, replacement, model)
+        monkeypatch.undo()
+        assert asked == WRITE_ORDER[:k]
+        assert stored.snapshot.read_bytes() == before["snapshot.json"]
+        assert history(root) == [
+            HistoryRow("search", "ranker", DATE, previous.quality_score, previous.maturity)
+        ]
+        # the report re-rendered from the snapshot is the previous one again
+        assert _report_exit(root, capsys) == (0, "")
+        assert stored.report.read_bytes() == before["report.html"]
+        assert sorted(path.name for path in stored.directory.iterdir()) == sorted(WRITE_ORDER)
