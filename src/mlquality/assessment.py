@@ -93,6 +93,11 @@ def parse_assessment(
     problems: list[str] = []
     seen: dict[str, GapEntry] = {}
 
+    if csv_text.startswith("\ufeff"):
+        raise GapFileError(
+            "line 1: file starts with a UTF-8 byte order mark; "
+            "save it as UTF-8 without one"
+        )
     reader = csv.reader(io.StringIO(csv_text))
     rows = list(reader)
     if not rows or tuple(cell.strip() for cell in rows[0]) != CSV_HEADER:

@@ -20,7 +20,7 @@ import sys
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
-from .assessment import parse_assessment
+from .assessment import Assessment, parse_assessment
 from .errors import GapFileError, MlQualityError, ModelConfigError, MultiProblemError
 from .model import QualityModel, load_quality_model, validate_model
 from .report import render_report
@@ -174,6 +174,26 @@ def cmd_assess(args) -> int:
     return 0
 
 
+def _check_store_directories(store: Path, records, date: dt.date) -> None:
+    """Refuse, before anything is written, records that would share a store
+    directory with each other or with another identity already stored."""
+    owners = {}
+    for record in records:
+        key = (sanitize_component(record.team), sanitize_component(record.system_id))
+        other = owners.setdefault(key, record)
+        if other is not record:
+            raise MlQualityError(
+                f"systems {other.system_id!r} (team {other.team!r}) and "
+                f"{record.system_id!r} (team {record.team!r}) map to the same store "
+                f"directory {Path(store, *key, date.isoformat())}; rename one"
+            )
+        # identity only: the gaps are inferred after every record passed
+        check_identity(
+            store,
+            Assessment(team=record.team, system_id=record.system_id, date=date, gaps={}),
+        )
+
+
 def cmd_infer(args) -> int:
     _bind("registry")
     model = _load_model(args)
@@ -191,12 +211,12 @@ def cmd_infer(args) -> int:
             "overrides: systems.%s names no system in the registry snapshot", system_id
         )
     store = _store_root(args)
+    _check_store_directories(store, records, date)
     for record in records:
         assessment = infer_gaps(
             record, overrides.for_system(record.system_id), fleet, model, date=date
         )
         criticality = determine_criticality(usage_from_metadata(record), fleet)
-        check_identity(store, assessment)
         result = evaluate(replace(assessment, criticality=criticality), model)
         persist_assessment(store, result, model)
         print(

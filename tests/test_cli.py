@@ -723,3 +723,70 @@ def test_infer_refuses_to_overwrite_another_system_in_a_shared_directory(tmp_pat
     assert "holds team 'supply' system 'x y'; team 'supply' system 'x_y'" in (
         capsys.readouterr().err
     )
+
+
+def _store_files(store) -> dict[str, bytes]:
+    if not store.exists():
+        return {}
+    return {
+        str(path.relative_to(store)): path.read_bytes()
+        for path in sorted(store.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_infer_refuses_records_sharing_a_directory_before_writing(tmp_path, capsys):
+    registry = tmp_path / "snapshot.yaml"
+    registry.write_text(
+        REGISTRY_YAML.replace("system_id: forecaster\n    team: supply", 'system_id: "a b"\n    team: lab')
+        .replace("system_id: sandbox", "system_id: a_b")
+    )
+    store = tmp_path / "store"
+    code = main(["infer", "--registry", str(registry), "--store", str(store)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "systems 'a b' (team 'lab') and 'a_b' (team 'lab') map to the same store "
+        f"directory {store / 'lab' / 'a_b' / '2026-07-01'}; rename one\n"
+    )
+    assert _store_files(store) == {}
+
+
+def test_infer_checks_every_stored_identity_before_writing(tmp_path, capsys):
+    registry = tmp_path / "snapshot.yaml"
+    registry.write_text(REGISTRY_YAML.replace("system_id: forecaster", 'system_id: "x y"'))
+    store = tmp_path / "store"
+    assert main(["infer", "--registry", str(registry), "--store", str(store)]) == 0
+    before = _store_files(store)
+    # ranker comes first and would now be stored with other gaps; x_y
+    # collides with the stored "x y"
+    registry.write_text(
+        REGISTRY_YAML.replace("system_id: forecaster", "system_id: x_y")
+        .replace("test_coverage: 0.95", "test_coverage: 0.10")
+    )
+    capsys.readouterr()
+    code = main(["infer", "--registry", str(registry), "--store", str(store)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "holds team 'supply' system 'x y'; team 'supply' system 'x_y'" in captured.err
+    assert captured.out == ""
+    assert _store_files(store) == before
+
+
+BOM_MESSAGE = (
+    "line 1: file starts with a UTF-8 byte order mark; save it as UTF-8 without one\n"
+)
+
+
+def test_gaps_csv_with_a_byte_order_mark_is_named(tmp_path, capsys):
+    path = tmp_path / "gaps.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + ALL_NO_CSV.encode())
+    store = tmp_path / "store"
+    code = main([
+        "assess", "--gaps", str(path), "--team", "t", "--system", "s",
+        "--date", "2026-01-05", "--criticality", "3", "--store", str(store),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == BOM_MESSAGE
+    assert not store.exists()
+    assert main(["validate", "--gaps", str(path)]) == 1
+    assert capsys.readouterr().err == BOM_MESSAGE
