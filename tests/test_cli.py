@@ -738,8 +738,9 @@ def _store_files(store) -> dict[str, bytes]:
 def test_infer_refuses_records_sharing_a_directory_before_writing(tmp_path, capsys):
     registry = tmp_path / "snapshot.yaml"
     registry.write_text(
-        REGISTRY_YAML.replace("system_id: forecaster\n    team: supply", 'system_id: "a b"\n    team: lab')
-        .replace("system_id: sandbox", "system_id: a_b")
+        REGISTRY_YAML.replace(
+            "system_id: forecaster\n    team: supply", 'system_id: "a b"\n    team: lab'
+        ).replace("system_id: sandbox", "system_id: a_b")
     )
     store = tmp_path / "store"
     code = main(["infer", "--registry", str(registry), "--store", str(store)])

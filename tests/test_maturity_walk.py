@@ -116,8 +116,8 @@ def test_loaded_model_agrees_with_a_per_level_walk(model, gaps):
 
 
 def test_default_and_overridden_model_keep_their_own_levels():
-    strict = load_quality_model('matrix:\n  testability: ["full", "full", "full", "full", "full"]\n')
-    lenient = load_quality_model('matrix:\n  testability: ["-", "-", "-", "-", "full"]\n')
+    strict = load_quality_model('matrix:\n  testability: [full, full, full, full, full]\n')
+    lenient = load_quality_model('matrix:\n  testability: ["-", "-", "-", "-", full]\n')
     gaps = {sub_id: Gap.NO_GAP for sub_id in DEFAULT.ids} | {
         "testability": Gap.LARGE,
         "effectiveness": Gap.SMALL,
