@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
+import datetime as dt
+import io
 import json
+import logging
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlquality.cli as cli
+from conftest import make_assessment
 from mlquality.cli import main
-from mlquality.model import default_model
+from mlquality.errors import StoreError
+from mlquality.model import Gap, default_model
+from mlquality.scoring import evaluate
+from mlquality.store import persist_assessment
 
 MODEL = default_model()
 
@@ -423,30 +435,37 @@ def _mutate_snapshot(path, payload_edit):
     path.write_text(json.dumps(payload_edit(payload)))
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda payload: {"snapshot_version": 1}, "KeyError: 'identity'"),
-        (
-            lambda payload: {**payload, "gaps": [{**payload["gaps"][0], "gap": "huge"}]},
-            "KeyError: 'huge'",
-        ),
-        (
-            lambda payload: {**payload, "colors": [{**payload["colors"][0], "color": "mauve"}]},
-            "ValueError: 'mauve' is not a valid GapColor",
-        ),
-        (
-            lambda payload: {
-                **payload,
-                "characteristic_scores": [{"characteristic": "speed", "score": 1}],
-            },
-            "ValueError: 'speed' is not a valid Characteristic",
-        ),
-        (lambda payload: {**payload, "identity": "ranker"}, "TypeError:"),
-        (lambda payload: {**payload, "maturity": float("inf")}, "OverflowError:"),
-    ],
-    ids=["version only", "gap token", "color token", "characteristic", "identity", "infinite"],
-)
+# hand edits that `mlq report` rejects; the first three keep the snapshot
+# readable by `mlq history`, the last three do not
+MALFORMED_EDITS = [
+    pytest.param(
+        lambda payload: {**payload, "gaps": [{**payload["gaps"][0], "gap": "huge"}]},
+        "KeyError: 'huge'",
+        id="gap token",
+    ),
+    pytest.param(
+        lambda payload: {**payload, "colors": [{**payload["colors"][0], "color": "mauve"}]},
+        "ValueError: 'mauve' is not a valid GapColor",
+        id="color token",
+    ),
+    pytest.param(
+        lambda payload: {
+            **payload,
+            "characteristic_scores": [{"characteristic": "speed", "score": 1}],
+        },
+        "ValueError: 'speed' is not a valid Characteristic",
+        id="characteristic",
+    ),
+    pytest.param(lambda payload: {"snapshot_version": 1}, "KeyError: 'identity'", id="version only"),
+    pytest.param(lambda payload: {**payload, "identity": "ranker"}, "TypeError:", id="identity"),
+    pytest.param(
+        lambda payload: {**payload, "maturity": float("inf")}, "OverflowError:", id="infinite"
+    ),
+]
+HISTORY_READABLE = {"gap token", "color token", "characteristic"}
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_EDITS)
 def test_report_on_malformed_snapshot_exits_1(tmp_path, registry, capsys, edit, message):
     store = tmp_path / "store"
     main(["infer", "--registry", str(registry), "--store", str(store)])
@@ -457,6 +476,191 @@ def test_report_on_malformed_snapshot_exits_1(tmp_path, registry, capsys, edit, 
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"malformed snapshot {snapshot}: {message}")
+
+
+def _reference_fleet(store, before, after):
+    """Exit code, stderr and views of `mlq fleet --before --after`, from the
+    public API: `history()` rows, one `load_assessment` per cohort pick and
+    `compliance_by_subcharacteristic`."""
+    from mlquality.analytics import (
+        compliance_by_subcharacteristic,
+        compliance_csv,
+        distribution_csv,
+        render_compliance_chart,
+        render_trend_chart,
+        score_distribution,
+    )
+    from mlquality.store import history, load_assessment
+
+    rows = history(store)
+    if not rows:
+        return 1, f"store {store} contains no assessments\n", {}
+    views = {
+        "distribution.csv": distribution_csv(score_distribution(rows)),
+        "trend.svg": render_trend_chart(rows),
+    }
+
+    def cohort(keep):
+        newest = {}
+        for row in rows:
+            if keep(row.date) and row.date >= newest.get((row.team, row.system), row.date):
+                newest[row.team, row.system] = row.date
+        return [(team, system, date) for (team, system), date in sorted(newest.items())]
+
+    picks = cohort(lambda date: date <= before), cohort(lambda date: date >= after)
+    if not all(picks):
+        return 1, "before/after dates leave an empty cohort; nothing to compare\n", views
+    try:
+        results = {
+            key: load_assessment(store, key[0], key[1], date=key[2])
+            for key in dict.fromkeys(picks[0] + picks[1])
+        }
+    except StoreError as exc:
+        return 1, f"{exc}\n", views
+    compliance = compliance_by_subcharacteristic(
+        *([results[key] for key in cohort] for cohort in picks)
+    )
+    views["compliance.csv"] = compliance_csv(compliance)
+    views["compliance.svg"] = render_compliance_chart(compliance)
+    return 0, "", views
+
+
+@contextlib.contextmanager
+def _warnings():
+    """Messages the package logs while the block runs."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("mlquality")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def _fleet_and_reference(store, out, before, after):
+    """(exit code, stderr, warnings, views) of `mlq fleet` into the fresh
+    directory `out`, and the same from `_reference_fleet`."""
+    with _warnings() as warnings, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([
+            "fleet", "--store", str(store), "--out", str(out),
+            "--before", before.isoformat(), "--after", after.isoformat(),
+        ])
+    views = {path.name: path.read_text() for path in out.iterdir()} if out.exists() else {}
+    with _warnings() as expected_warnings:
+        expected_code, expected_err, expected_views = _reference_fleet(store, before, after)
+    return (
+        (code, err.getvalue(), warnings, views),
+        (expected_code, expected_err, expected_warnings, expected_views),
+    )
+
+
+@pytest.fixture()
+def three_months(tmp_path, registry):
+    """The test registry inferred on three dates; `mlq fleet --before
+    2026-06-01 --after 2026-07-01` picks the last two, never 2026-05-01."""
+    store = tmp_path / "store"
+    for date in ("2026-05-01", "2026-06-01", "2026-07-01"):
+        assert main(["infer", "--registry", str(registry), "--store", str(store),
+                     "--date", date]) == 0
+    return store
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_EDITS)
+def test_fleet_on_malformed_cohort_pick_exits_1(
+    tmp_path, three_months, capsys, request, edit, message
+):
+    snapshot = three_months / "search" / "ranker" / "2026-07-01" / "snapshot.json"
+    _mutate_snapshot(snapshot, edit)
+    capsys.readouterr()
+    got, expected = _fleet_and_reference(
+        three_months, tmp_path / "fleet", dt.date(2026, 6, 1), dt.date(2026, 7, 1)
+    )
+    assert got == expected
+    code, err, warnings, views = got
+    if request.node.callspec.id in HISTORY_READABLE:
+        assert code == 1
+        assert err.startswith(f"malformed snapshot {snapshot}: {message}")
+        assert warnings == []
+        assert sorted(views) == ["distribution.csv", "trend.svg"]
+    else:
+        # `mlq history` cannot read it either, so no cohort picks it
+        assert code == 0 and err == ""
+        assert [w.startswith(f"skipping corrupted snapshot {snapshot}: ") for w in warnings] == [True]
+        assert len(views) == 4
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_EDITS)
+def test_fleet_ignores_malformed_snapshot_no_cohort_picks(
+    tmp_path, three_months, capsys, request, edit, message
+):
+    snapshot = three_months / "search" / "ranker" / "2026-05-01" / "snapshot.json"
+    _mutate_snapshot(snapshot, edit)
+    capsys.readouterr()
+    got, expected = _fleet_and_reference(
+        three_months, tmp_path / "fleet", dt.date(2026, 6, 1), dt.date(2026, 7, 1)
+    )
+    assert got == expected
+    code, err, warnings, views = got
+    assert code == 0 and err == "" and len(views) == 4
+    assert len(warnings) == (request.node.callspec.id not in HISTORY_READABLE)
+
+
+FLEET_DAYS = st.integers(2, 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    snapshots=st.lists(
+        st.tuples(
+            st.sampled_from(["a b", "a_b"]),
+            st.sampled_from(["x", "y z", "y_z"]),
+            FLEET_DAYS,
+            st.dictionaries(
+                st.sampled_from(MODEL.ids), st.sampled_from([Gap.SMALL, Gap.LARGE]), max_size=4
+            ),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    # mostly inside the drawn days, so that both cohorts are mostly non-empty
+    before=st.integers(3, 8),
+    after=st.integers(1, 6),
+    moved=st.none() | st.tuples(st.integers(0, 7), st.sampled_from(["system", "date"])),
+    edited=st.none() | st.tuples(st.integers(0, 7), st.integers(0, len(MALFORMED_EDITS) - 1)),
+)
+def test_fleet_equals_history_and_load_assessment(snapshots, before, after, moved, edited):
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        store = root / "store"
+        for team, system, day, gaps in snapshots:
+            gaps = {
+                sub_id: gap if gap in MODEL.legal_gaps(sub_id) else Gap.LARGE
+                for sub_id, gap in gaps.items()
+            }
+            assessment = make_assessment(
+                MODEL, gaps, team=team, system_id=system, date=dt.date(2026, 1, day)
+            )
+            persist_assessment(store, evaluate(assessment, MODEL), MODEL)
+        if moved is not None:
+            # by hand: into another system's directory, or under another date
+            dates = sorted(store.glob("*/*/*"))
+            source = dates[moved[0] % len(dates)]
+            if moved[1] == "system":
+                target = source.parent.parent / "moved" / source.name
+            else:
+                target = source.parent / "2025-12-31"
+            target.parent.mkdir(parents=True, exist_ok=True)
+            source.rename(target)
+        if edited is not None:
+            snapshots_now = sorted(store.glob("*/*/*/snapshot.json"))
+            edit = MALFORMED_EDITS[edited[1]].values[0]
+            _mutate_snapshot(snapshots_now[edited[0] % len(snapshots_now)], edit)
+        got, expected = _fleet_and_reference(
+            store, root / "fleet", dt.date(2026, 1, before), dt.date(2026, 1, after)
+        )
+        assert got == expected
 
 
 def test_history_skips_snapshot_with_infinite_score(tmp_path, registry, capsys):
