@@ -10,13 +10,14 @@ changes the output.
 from __future__ import annotations
 
 import html
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import Gap
+from .errors import CohortError
 from .percentiles import nearest_rank
 from .scoring import AssessmentResult
-from .store import HistoryRow
+from .store import GapMask, HistoryRow, no_gap_mask
 
 
 @dataclass(frozen=True)
@@ -83,25 +84,72 @@ def compliance_by_subcharacteristic(
 
     Row order follows the attribute order of the results themselves, which
     preserves catalog order. Cohort membership is whatever the caller
-    passes; same systems or a changing fleet both work.
+    passes; same systems or a changing fleet both work. Every result must
+    assess the attributes the first one does (CohortError otherwise).
+    """
+    orders: dict[tuple[str, ...], tuple[str, ...]] = {}
+    return compliance_from_masks(
+        [no_gap_mask(result.assessment, orders) for result in before],
+        [no_gap_mask(result.assessment, orders) for result in after],
+        names=[
+            f"{a.team}/{a.system_id} {a.date.isoformat()}"
+            for a in (result.assessment for result in (*before, *after))
+        ],
+    )
+
+
+def compliance_from_masks(
+    before: Sequence[GapMask],
+    after: Sequence[GapMask],
+    names: Sequence[str] | None = None,
+) -> list[ComplianceRow]:
+    """`compliance_by_subcharacteristic` over no-gap masks
+    (`store.no_gap_mask`), one per cohort member.
+
+    Rows follow the attribute order of the first member of `before`. A
+    member assessing other attributes raises CohortError, naming it and
+    the first member by `names` (one per member of `before`, then `after`).
     """
     if not before or not after:
         raise ValueError("both cohorts must be non-empty")
-    order = list(before[0].assessment.gaps)
+    members = [*before, *after]
+    names = names or [f"cohort member {index + 1}" for index in range(len(members))]
+    order = before[0][0]
+    position = {sub_id: index for index, sub_id in enumerate(order)}
+    agreeing = {order}
+    for name, (member_order, _) in zip(names, members):
+        if member_order in agreeing:
+            continue
+        if len(member_order) != len(order) or not set(member_order) <= position.keys():
+            missing = [sub_id for sub_id in order if sub_id not in member_order]
+            extra = [sub_id for sub_id in member_order if sub_id not in position]
+            differences = "; ".join(
+                f"{label} {', '.join(ids)}"
+                for label, ids in (("lacks", missing), ("adds", extra))
+                if ids
+            )
+            raise CohortError(
+                f"{name} does not assess the same attributes as {names[0]}: {differences}"
+            )
+        agreeing.add(member_order)
 
-    def fraction(cohort: Sequence[AssessmentResult], sub_id: str) -> float:
-        clean = sum(
-            1 for result in cohort if result.assessment.gap(sub_id) is Gap.NO_GAP
-        )
-        return clean / len(cohort)
+    def fractions(cohort: Sequence[GapMask]) -> list[float]:
+        clean = [0] * len(order)
+        for (member_order, mask), count in Counter(cohort).items():
+            for bit, sub_id in enumerate(member_order):
+                if mask >> bit & 1:
+                    clean[position[sub_id]] += count
+        return [value / len(cohort) for value in clean]
 
     return [
         ComplianceRow(
             sub_characteristic=sub_id,
-            fraction_no_gap_before=fraction(before, sub_id),
-            fraction_no_gap_after=fraction(after, sub_id),
+            fraction_no_gap_before=fraction_before,
+            fraction_no_gap_after=fraction_after,
         )
-        for sub_id in order
+        for sub_id, fraction_before, fraction_after in zip(
+            order, fractions(before), fractions(after)
+        )
     ]
 
 

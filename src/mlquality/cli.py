@@ -21,7 +21,13 @@ from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 from .assessment import Assessment, parse_assessment
-from .errors import GapFileError, MlQualityError, ModelConfigError, MultiProblemError
+from .errors import (
+    GapFileError,
+    MlQualityError,
+    ModelConfigError,
+    MultiProblemError,
+    StoreError,
+)
 from .model import QualityModel, load_quality_model, validate_model
 from .report import render_report
 from .scoring import (
@@ -34,10 +40,13 @@ from .scoring import (
 from .store import (
     REPORT_FILE,
     check_identity,
+    fleet_scan,
     history,
     load_assessment,
+    no_gap_mask,
     persist_assessment,
     sanitize_component,
+    snapshot_path,
     write_text_atomic,
 )
 from .yamldoc import load_yaml, read_text
@@ -57,8 +66,10 @@ _DEFERRED = {
         "usage_from_metadata",
     ),
     "analytics": (
+        # not run by any command; bound for tracers that wrap it here
         "compliance_by_subcharacteristic",
         "compliance_csv",
+        "compliance_from_masks",
         "distribution_csv",
         "render_compliance_chart",
         "render_trend_chart",
@@ -277,7 +288,7 @@ def _latest_per_system(rows, keep) -> list[tuple[str, str, dt.date]]:
 def cmd_fleet(args) -> int:
     _bind("analytics")
     store = _store_root(args)
-    rows = history(store)
+    rows, outcomes = fleet_scan(store, args.before, args.after)
     if not rows:
         raise MlQualityError(f"store {store} contains no assessments")
     if (args.before is None) != (args.after is None):
@@ -296,13 +307,22 @@ def cmd_fleet(args) -> int:
             raise MlQualityError(
                 "before/after dates leave an empty cohort; nothing to compare"
             )
-        # a snapshot picked by both cohorts is loaded once and shared
-        results = {
-            (team, system, date): load_assessment(store, team, system, date=date)
-            for team, system, date in dict.fromkeys(before + after)
-        }
-        compliance = compliance_by_subcharacteristic(
-            [results[key] for key in before], [results[key] for key in after]
+        # the scan kept each pick's no-gap mask, or the error loading it
+        # raises; a snapshot picked by both cohorts is looked up once
+        picks = {}
+        for team, system, date in dict.fromkeys(before + after):
+            path = snapshot_path(store, team, system, date)
+            outcome = outcomes.get(path)
+            if outcome is None:
+                # not read at that path, e.g. a snapshot moved by hand
+                outcome = no_gap_mask(load_assessment(store, team, system, date=date).assessment)
+            elif isinstance(outcome, StoreError):
+                raise outcome
+            picks[team, system, date] = path, outcome
+        compliance = compliance_from_masks(
+            [picks[key][1] for key in before],
+            [picks[key][1] for key in after],
+            names=[picks[key][0] for key in before + after],
         )
         write_text_atomic(out / "compliance.csv", compliance_csv(compliance))
         write_text_atomic(out / "compliance.svg", render_compliance_chart(compliance))

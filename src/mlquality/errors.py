@@ -40,3 +40,7 @@ class OverrideError(MultiProblemError):
 
 class StoreError(MlQualityError):
     """A stored assessment is missing or unreadable."""
+
+
+class CohortError(MlQualityError, ValueError):
+    """Fleet cohort members that do not assess the same attributes."""

@@ -17,6 +17,7 @@ leaves a re-persisted directory showing its previous complete result.
 from __future__ import annotations
 
 import datetime as dt
+import errno
 import json
 import logging
 import os
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from .assessment import Assessment, GapEntry, serialize_assessment
 from .errors import StoreError
-from .model import GAP_ALIASES, Characteristic, QualityModel
+from .model import GAP_ALIASES, Characteristic, Gap, QualityModel
 from .report import render_report
 from .scoring import (
     AssessmentResult,
@@ -263,36 +264,112 @@ def persist_assessment(
     )
 
 
-def _read_snapshot(path: Path) -> dict:
+# what a glob takes for "no such file": such a snapshot is skipped
+# silently, as a glob over the store never yielded it
+_ABSENT = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP})
+
+
+def _read_snapshot(path: str | Path, absent_ok: bool = False) -> dict | None:
+    """The payload of one snapshot file; with `absent_ok`, None when there
+    is no file to read."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        if absent_ok and exc.errno in _ABSENT:
+            return None
+        raise StoreError(f"unreadable snapshot {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
         raise StoreError(f"unreadable snapshot {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("snapshot_version") != SNAPSHOT_VERSION:
         raise StoreError(f"unsupported snapshot version in {path}")
     return payload
 
 
-def _snapshot_files(
-    root: Path, team: str | None = None, system: str | None = None
-) -> list[Path]:
-    """Sorted snapshot paths under `root/<team>/<system>/<date>/`.
+def _root_prefix(root: str | Path) -> str:
+    """`root` as the string prefix of the paths under it, spelled as `Path`
+    spells them ("" for the current directory)."""
+    base = os.fspath(Path(root))
+    return "" if base == os.curdir else base
+
+
+def _subdirectories(path: str) -> list[str]:
+    """Sorted names of the directories in `path`, symlinks followed as a
+    glob follows them; none when `path` is not a directory. The entry types
+    come with the listing, so this costs no stat per entry."""
+    try:
+        with os.scandir(path or os.curdir) as entries:
+            return sorted(entry.name for entry in entries if entry.is_dir())
+    except (FileNotFoundError, NotADirectoryError, PermissionError):
+        return []
+
+
+def _system_directories(
+    root: str | Path, team: str | None = None, system: str | None = None
+) -> list[tuple[str, list[str]]]:
+    """Each `<team>/<system>` directory under `root` with the sorted names
+    of its date directories, sorted by (team, system) directory name.
 
     A given team or system is joined onto the path as a literal directory
-    name, so a name such as `team[1]` or `*` is never read as a pattern;
-    only the levels left open are matched with `*`. Raises StoreError when
-    a given name is not path-safe.
+    name, so a name such as `team[1]` or `*` never matches another one;
+    only the levels left open are listed. Raises StoreError when a given
+    name is not path-safe.
     """
-    tail = f"*/{SNAPSHOT_FILE}"
-    if system is not None:
-        system_name = sanitize_component(system)
-        teams = [root / sanitize_component(team)] if team is not None else root.glob("*")
-        found = (path for team_dir in teams for path in (team_dir / system_name).glob(tail))
-    elif team is not None:
-        found = (root / sanitize_component(team)).glob(f"*/{tail}")
-    else:
-        found = root.glob(f"*/*/{tail}")
-    return sorted(found)
+    prefix = _root_prefix(root)
+    teams = [sanitize_component(team)] if team is not None else None
+    systems = [sanitize_component(system)] if system is not None else None
+    found = []
+    for team_name in _subdirectories(prefix) if teams is None else teams:
+        team_dir = os.path.join(prefix, team_name)
+        for system_name in _subdirectories(team_dir) if systems is None else systems:
+            system_dir = os.path.join(team_dir, system_name)
+            found.append((system_dir, _subdirectories(system_dir)))
+    return found
+
+
+def snapshot_path(root: str | Path, team: str, system: str, date: dt.date) -> str:
+    """Where `persist_assessment` writes, and `load_assessment` reads, the
+    snapshot of one identity and date."""
+    return os.path.join(
+        _root_prefix(root),
+        sanitize_component(team),
+        sanitize_component(system),
+        date.isoformat(),
+        SNAPSHOT_FILE,
+    )
+
+
+def _readable_snapshots(
+    system_dir: str, dates: list[str]
+) -> list[tuple[str, dict, HistoryRow]]:
+    """Path, payload and history row of each snapshot in one `<team>/<system>`
+    directory that history can read, in date directory order. Any other
+    snapshot is skipped with a warning; a date directory without one is
+    skipped silently."""
+    found = []
+    for date in dates:
+        path = os.path.join(system_dir, date, SNAPSHOT_FILE)
+        try:
+            payload = _read_snapshot(path, absent_ok=True)
+            if payload is None:
+                continue
+            identity = payload["identity"]
+            row = HistoryRow(
+                team=identity["team"],
+                system=identity["system"],
+                date=dt.date.fromisoformat(identity["date"]),
+                quality_score=int(payload["quality_score"]),
+                maturity=int(payload["maturity"]),
+            )
+        except (StoreError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            logger.warning("skipping corrupted snapshot %s: %s", path, exc)
+            continue
+        found.append((path, payload, row))
+    return found
+
+
+def _history_order(row: HistoryRow) -> tuple[str, str, dt.date]:
+    return row.team, row.system, row.date
 
 
 def load_assessment(
@@ -310,10 +387,15 @@ def load_assessment(
     """
     system_dir = Path(root) / sanitize_component(team) / sanitize_component(system)
     if date is None:
-        candidates = _snapshot_files(Path(root), team, system)
-        if not candidates:
+        candidates = (
+            os.path.join(directory, name, SNAPSHOT_FILE)
+            for directory, dates in _system_directories(root, team, system)
+            for name in reversed(dates)
+        )
+        latest = next((path for path in candidates if os.path.exists(path)), None)
+        if latest is None:
             raise StoreError(f"not found: no assessments under {system_dir}")
-        snapshot = candidates[-1]
+        snapshot = Path(latest)
     else:
         snapshot = system_dir / date.isoformat() / SNAPSHOT_FILE
     if not snapshot.is_file():
@@ -330,6 +412,10 @@ def load_assessment(
                 recorded,
                 current,
             )
+    return _checked_result(snapshot, payload)
+
+
+def _checked_result(snapshot: str | Path, payload: dict) -> AssessmentResult:
     try:
         return _result_from_payload(payload)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -345,43 +431,86 @@ def history(
 ) -> list[HistoryRow]:
     """All stored evaluations, optionally filtered by team and system.
 
-    Reads only snapshots and never recomputes scores. A team or system
-    filter reads only that team's or system's directory, since
-    `persist_assessment` always writes to `<team>/<system>/<date>/`; a
-    snapshot moved by hand out of its directory is therefore not found by a
-    filtered lookup, just as `load_assessment` misses it. Rows still match
-    the filter exactly: `a b` and `a_b` share a directory but not rows.
-    A corrupted snapshot is reported with a warning and skipped; the rest
-    of the history is still returned. Rows are sorted by team, system,
-    then date ascending.
+    Reads each snapshot once and never recomputes scores. The store is
+    walked as `<team>/<system>/<date>/snapshot.json` by directory listings
+    alone, with no stat per snapshot. A team or system filter reads only
+    that team's or system's directory, since `persist_assessment` always
+    writes to `<team>/<system>/<date>/`; a snapshot moved by hand out of
+    its directory is therefore not found by a filtered lookup, just as
+    `load_assessment` misses it. Rows still match the filter exactly: `a b`
+    and `a_b` share a directory but not rows. A corrupted snapshot is
+    reported with a warning and skipped; the rest of the history is still
+    returned. Rows are sorted by team, system, then date ascending.
     """
-    root = Path(root)
-    rows: list[HistoryRow] = []
-    if not root.is_dir():
-        return rows
     try:
-        snapshots = _snapshot_files(root, team, system)
+        directories = _system_directories(root, team, system)
     except StoreError:
         # a name that is not path-safe was never stored
-        return rows
-    for snapshot in snapshots:
-        try:
-            payload = _read_snapshot(snapshot)
-            identity = payload["identity"]
-            row = HistoryRow(
-                team=identity["team"],
-                system=identity["system"],
-                date=dt.date.fromisoformat(identity["date"]),
-                quality_score=int(payload["quality_score"]),
-                maturity=int(payload["maturity"]),
-            )
-        except (StoreError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            logger.warning("skipping corrupted snapshot %s: %s", snapshot, exc)
-            continue
-        if team is not None and row.team != team:
-            continue
-        if system is not None and row.system != system:
-            continue
-        rows.append(row)
-    rows.sort(key=lambda row: (row.team, row.system, row.date))
+        return []
+    rows: list[HistoryRow] = []
+    for directory in directories:
+        for _, _, row in _readable_snapshots(*directory):
+            if (team is None or row.team == team) and (system is None or row.system == system):
+                rows.append(row)
+    rows.sort(key=_history_order)
     return rows
+
+
+# the attribute ids of one assessment in its own order, and a bit per
+# attribute, set when it has no gap; assessments share equal orders
+GapMask = tuple[tuple[str, ...], int]
+
+
+def no_gap_mask(
+    assessment: Assessment, orders: dict[tuple[str, ...], tuple[str, ...]] | None = None
+) -> GapMask:
+    """Which attributes of `assessment` have no gap, as a bit mask over its
+    attribute order; `orders` interns equal orders so they are kept once."""
+    order = tuple(assessment.gaps)
+    if orders is not None:
+        order = orders.setdefault(order, order)
+    mask = 0
+    for bit, entry in enumerate(assessment.gaps.values()):
+        if entry.gap is Gap.NO_GAP:
+            mask |= 1 << bit
+    return order, mask
+
+
+def fleet_scan(
+    root: str | Path, before: dt.date | None = None, after: dt.date | None = None
+) -> tuple[list[HistoryRow], dict[str, GapMask | StoreError]]:
+    """`history(root)`, plus what `mlq fleet --before --after` needs of the
+    cohort picks, reading each snapshot once.
+
+    The payloads of one `<team>/<system>` directory are kept until that
+    directory is done. For each identity in it, its newest snapshot dated
+    on or before `before` and its newest dated on or after `after` are
+    rebuilt as `load_assessment` rebuilds them, and only the outcome is
+    kept, by path: the no-gap mask, or the StoreError `load_assessment`
+    would raise. A cohort pick whose path has no outcome here (a snapshot
+    moved by hand, say) is for the caller to load. With either date None,
+    no outcome is kept.
+    """
+    rows: list[HistoryRow] = []
+    outcomes: dict[str, GapMask | StoreError] = {}
+    orders: dict[tuple[str, ...], tuple[str, ...]] = {}
+    for directory in _system_directories(root):
+        readable = _readable_snapshots(*directory)
+        rows.extend(row for _, _, row in readable)
+        if before is None or after is None:
+            continue
+        newest: dict[tuple[bool, str, str], tuple[str, dict, HistoryRow]] = {}
+        for entry in readable:
+            row = entry[2]
+            for cohort, member in ((False, row.date <= before), (True, row.date >= after)):
+                key = (cohort, row.team, row.system)
+                if member and (key not in newest or row.date > newest[key][2].date):
+                    newest[key] = entry
+        for path, payload, _ in newest.values():
+            if path not in outcomes:
+                try:
+                    outcomes[path] = no_gap_mask(_checked_result(path, payload).assessment, orders)
+                except StoreError as exc:
+                    outcomes[path] = exc
+    rows.sort(key=_history_order)
+    return rows, outcomes

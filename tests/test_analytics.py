@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,13 @@ from mlquality.analytics import (
     ComplianceRow,
     compliance_by_subcharacteristic,
     compliance_csv,
+    compliance_from_masks,
     distribution_csv,
     render_compliance_chart,
     render_trend_chart,
     score_distribution,
 )
+from mlquality.errors import CohortError
 from mlquality.model import Gap, default_model
 from mlquality.percentiles import nearest_rank
 from mlquality.scoring import evaluate
@@ -147,6 +150,31 @@ def test_compliance_zero_everywhere():
 def test_compliance_rejects_empty_cohort():
     with pytest.raises(ValueError):
         compliance_by_subcharacteristic([], _cohort({}))
+
+
+def test_compliance_rejects_members_assessing_other_attributes():
+    before = _cohort({}, {})
+    lacking = _cohort({})[0]
+    gaps = dict(lacking.assessment.gaps)
+    del gaps["fairness"]
+    lacking = replace(lacking, assessment=replace(lacking.assessment, gaps=gaps))
+    with pytest.raises(CohortError) as raised:
+        compliance_by_subcharacteristic(before, [lacking])
+    assert isinstance(raised.value, ValueError)
+    assert str(raised.value) == (
+        "search/s0 2026-01-05 does not assess the same attributes as "
+        "search/s0 2026-01-05: lacks fairness"
+    )
+    with pytest.raises(CohortError, match="adds fairness"):
+        compliance_by_subcharacteristic([lacking], before)
+
+
+def test_compliance_from_masks_follows_each_members_own_order():
+    ids = list(MODEL.ids)
+    before = [(tuple(ids), 0b1), (tuple(reversed(ids)), 1 << (len(ids) - 1))]
+    rows = compliance_from_masks(before, [(tuple(ids), 0)])
+    assert rows[0] == ComplianceRow(ids[0], 1.0, 0.0)
+    assert all(row.fraction_no_gap_before == 0.0 for row in rows[1:])
 
 
 def test_compliance_permutation_invariant():

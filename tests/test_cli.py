@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import datetime as dt
 import io
 import json
 import logging
+import os
 import tempfile
 from pathlib import Path
 
@@ -410,23 +412,44 @@ def test_infer_rejects_impossible_snapshot_date(tmp_path, capsys):
     assert "line 2, column 16" in err
 
 
-def test_fleet_loads_a_snapshot_both_cohorts_pick_once(tmp_path, registry, monkeypatch):
+def _record_snapshot_opens(monkeypatch) -> list[str]:
+    """Paths of the `snapshot.json` files opened for reading from now on,
+    counted at the builtin `open` as the benchmark's tracer counts them."""
+    opened: list[str] = []
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and isinstance(file, (str, os.PathLike)):
+            if os.path.basename(os.fspath(file)) == "snapshot.json":
+                opened.append(os.fspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    return opened
+
+
+def test_fleet_opens_each_snapshot_once(tmp_path, registry, monkeypatch):
     store = tmp_path / "store"
-    main(["infer", "--registry", str(registry), "--store", str(store)])
+    for date in ("2026-06-01", "2026-07-01"):
+        main(["infer", "--registry", str(registry), "--store", str(store), "--date", date])
     loads = []
     real = cli.load_assessment
 
     def counting(*args, **kwargs):
-        loads.append((args[1:], kwargs))
+        loads.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "load_assessment", counting)
+    opened = _record_snapshot_opens(monkeypatch)
     code = main([
         "fleet", "--store", str(store), "--out", str(tmp_path / "fleet"),
-        "--before", "2026-07-01", "--after", "2026-07-01",
+        "--before", "2026-07-01", "--after", "2026-06-01",
     ])
     assert code == 0
-    assert len(loads) == 3  # three systems, each in both cohorts
+    assert sorted(opened) == sorted(map(str, store.glob("*/*/*/snapshot.json")))
+    assert len(opened) == 6
+    assert loads == []
     assert len((tmp_path / "fleet" / "compliance.csv").read_text().splitlines()) == 26
 
 
@@ -605,6 +628,40 @@ def test_fleet_ignores_malformed_snapshot_no_cohort_picks(
     code, err, warnings, views = got
     assert code == 0 and err == "" and len(views) == 4
     assert len(warnings) == (request.node.callspec.id not in HISTORY_READABLE)
+
+
+@pytest.mark.parametrize(
+    "victim, named, difference",
+    [
+        # ranker lacks an attribute of sandbox, the first cohort member
+        ("search/ranker", "search/ranker", "lacks accuracy"),
+        # sandbox itself lacks it: the next member is the first to differ
+        ("lab/sandbox", "search/ranker", "adds accuracy"),
+    ],
+)
+def test_fleet_rejects_cohort_members_assessing_other_attributes(
+    tmp_path, registry, capsys, victim, named, difference
+):
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+
+    def without_accuracy(payload):
+        gaps = [row for row in payload["gaps"] if row["sub_characteristic"] != "accuracy"]
+        return {**payload, "gaps": gaps}
+
+    _mutate_snapshot(store / victim / "2026-07-01" / "snapshot.json", without_accuracy)
+    capsys.readouterr()
+    code = main([
+        "fleet", "--store", str(store), "--out", str(tmp_path / "fleet"),
+        "--before", "2026-07-01", "--after", "2026-07-01",
+    ])
+    assert code == 1
+    snapshot = store / named / "2026-07-01" / "snapshot.json"
+    first = store / "lab" / "sandbox" / "2026-07-01" / "snapshot.json"
+    assert capsys.readouterr().err == (
+        f"{snapshot} does not assess the same attributes as {first}: {difference}\n"
+    )
+    assert not (tmp_path / "fleet" / "compliance.csv").exists()
 
 
 FLEET_DAYS = st.integers(2, 7)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import builtins
 import datetime as dt
+import errno
+import io
 import json
 import logging
+import os
 import tempfile
 from pathlib import Path
 
@@ -206,15 +210,19 @@ def _persist_identities(model, root, identities):
 
 
 def _record_reads(monkeypatch) -> list[Path]:
-    """Paths of the snapshots `history` opens from now on."""
+    """Paths of the snapshots opened for reading from now on, counted at
+    the builtin `open`, whatever store function opens them."""
     reads: list[Path] = []
-    real = store._read_snapshot
+    real_open = io.open
 
-    def recording(path):
-        reads.append(path)
-        return real(path)
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and isinstance(file, (str, os.PathLike)):
+            if os.path.basename(os.fspath(file)) == store.SNAPSHOT_FILE:
+                reads.append(Path(file))
+        return real_open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(store, "_read_snapshot", recording)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
     return reads
 
 
@@ -495,3 +503,177 @@ def test_interrupted_re_persist_keeps_the_previous_result(
         assert _report_exit(root, capsys) == (0, "")
         assert stored.report.read_bytes() == before["report.html"]
         assert sorted(path.name for path in stored.directory.iterdir()) == sorted(WRITE_ORDER)
+
+
+# --- the store walk against the glob it replaces -----------------------------
+
+WALK_NAMES = ["a", "a b", "a_b", ".dot", "*", "t[1]", "t1", "snapshot.json"]
+WALK_DATES = ["2026-01-01", "2026-01-02", ".x", "*"]
+# what a date directory holds: a snapshot (readable, corrupt, or of an
+# identity filed elsewhere), nothing, or something that is not a file
+DATE_KINDS = [
+    "snapshot", "snapshot", "elsewhere", "corrupt", "empty",
+    "snapshot_directory", "broken_link", "link_loop",
+]
+# a file (or broken symlink) where a team, system or date directory belongs
+NOT_DIRECTORY_KINDS = ["file_team", "file_system", "file_date", "link_date"]
+
+
+def _glob_snapshots(root: Path, team: str | None, system: str | None) -> list[Path]:
+    """Sorted snapshot paths as a pathlib glob over the store finds them."""
+    tail = f"*/{store.SNAPSHOT_FILE}"
+    if system is not None:
+        system_name = sanitize_component(system)
+        teams = [root / sanitize_component(team)] if team is not None else root.glob("*")
+        found = (path for team_dir in teams for path in (team_dir / system_name).glob(tail))
+    elif team is not None:
+        found = (root / sanitize_component(team)).glob(f"*/{tail}")
+    else:
+        found = root.glob(f"*/*/{tail}")
+    return sorted(found)
+
+
+def _glob_history(root: Path, team: str | None, system: str | None):
+    """Rows and warnings of `history` computed over `_glob_snapshots`."""
+    rows, warnings = [], []
+    try:
+        snapshots = _glob_snapshots(root, team, system)
+    except StoreError:
+        return rows, warnings
+    for snapshot in snapshots:
+        try:
+            payload = store._read_snapshot(snapshot)
+            identity = payload["identity"]
+            row = HistoryRow(
+                team=identity["team"],
+                system=identity["system"],
+                date=dt.date.fromisoformat(identity["date"]),
+                quality_score=int(payload["quality_score"]),
+                maturity=int(payload["maturity"]),
+            )
+        except (StoreError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            warnings.append(f"skipping corrupted snapshot {snapshot}: {exc}")
+            continue
+        if (team is None or row.team == team) and (system is None or row.system == system):
+            rows.append(row)
+    rows.sort(key=lambda row: (row.team, row.system, row.date))
+    return rows, warnings
+
+
+def _glob_latest(root: Path, team: str, system: str) -> str:
+    """What `load_assessment` without a date gave over `_glob_snapshots`."""
+    try:
+        system_dir = root / sanitize_component(team) / sanitize_component(system)
+        candidates = _glob_snapshots(root, team, system)
+        if not candidates:
+            raise StoreError(f"not found: no assessments under {system_dir}")
+        if not candidates[-1].is_file():
+            raise StoreError(f"not found: {candidates[-1]}")
+        payload = store._read_snapshot(candidates[-1])
+        return repr(store._result_from_payload(payload))
+    except (StoreError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _build_tree(root: Path, entries, template: dict) -> None:
+    for kind, team, system, date in entries:
+        date_dir = root / team / system / date
+        try:
+            if kind in NOT_DIRECTORY_KINDS:
+                target = {"file_team": root / team, "file_system": root / team / system}.get(
+                    kind, date_dir
+                )
+                target.parent.mkdir(parents=True, exist_ok=True)
+                if kind == "link_date":
+                    target.symlink_to("nowhere")
+                else:
+                    target.write_text("not a directory")
+                continue
+            date_dir.mkdir(parents=True, exist_ok=True)
+            snapshot = date_dir / store.SNAPSHOT_FILE
+            if kind == "snapshot_directory":
+                snapshot.mkdir()
+            elif kind == "broken_link":
+                snapshot.symlink_to("nowhere")
+            elif kind == "link_loop":
+                snapshot.symlink_to(store.SNAPSHOT_FILE)
+            elif kind == "corrupt":
+                snapshot.write_text("{ not json")
+            elif kind != "empty":
+                identity = {
+                    "team": team if kind == "snapshot" else f"{team} moved",
+                    "system": system,
+                    "family_members": [system],
+                    "date": date if date.startswith("2026") else "2026-03-01",
+                }
+                snapshot.write_text(json.dumps({**template, "identity": identity}))
+        except OSError:
+            # the path is taken by an earlier entry of another kind
+            continue
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.sampled_from(DATE_KINDS + NOT_DIRECTORY_KINDS),
+            st.sampled_from(WALK_NAMES),
+            st.sampled_from(WALK_NAMES),
+            st.sampled_from(WALK_DATES),
+        ),
+        min_size=2,
+        max_size=14,
+    ),
+    team=st.none() | st.sampled_from(WALK_NAMES + [".."]),
+    system=st.none() | st.sampled_from(WALK_NAMES + [".."]),
+)
+def test_store_walk_reads_exactly_what_the_glob_found(entries, team, system):
+    model = default_model()
+    template = store._snapshot_payload(evaluate(make_assessment(model), model), model)
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        root = Path(directory) / "store"
+        root.mkdir()
+        _build_tree(root, entries, template)
+        try:
+            snapshots = _glob_snapshots(root, team, system)
+        except StoreError:
+            snapshots = []
+        expected = _glob_history(root, team, system)
+
+        # snapshots history reads: an open that finds no file reads none
+        opened: list[Path] = []
+        real_open = io.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            snapshot = os.path.basename(os.fspath(file)) == store.SNAPSHOT_FILE
+            try:
+                handle = real_open(file, mode, *args, **kwargs)
+            except OSError as exc:
+                if snapshot and exc.errno not in (errno.ENOENT, errno.ELOOP):
+                    opened.append(Path(file))
+                raise
+            if snapshot:
+                opened.append(Path(file))
+            return handle
+
+        patch.setattr(builtins, "open", recording_open)
+        patch.setattr(io, "open", recording_open)
+        warnings: list[str] = []
+        handler = logging.Handler()
+        handler.emit = lambda record: warnings.append(record.getMessage())
+        logging.getLogger("mlquality").addHandler(handler)
+        try:
+            rows = history(root, team=team, system=system)
+        finally:
+            logging.getLogger("mlquality").removeHandler(handler)
+            patch.undo()
+        assert opened == snapshots
+        assert (rows, warnings) == expected
+        for named in {(team, system), *((t, s) for _, t, s, _ in entries)}:
+            if None in named:
+                continue
+            try:
+                latest = repr(load_assessment(root, *named))
+            except StoreError as exc:
+                latest = f"{type(exc).__name__}: {exc}"
+            assert latest == _glob_latest(root, *named)
