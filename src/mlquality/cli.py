@@ -26,6 +26,7 @@ from .errors import (
     MlQualityError,
     ModelConfigError,
     MultiProblemError,
+    OverrideError,
     StoreError,
 )
 from .model import QualityModel, load_quality_model, validate_model
@@ -59,6 +60,7 @@ from .yamldoc import load_yaml, read_text
 _DEFERRED = {
     "registry": (
         "check_field",
+        "extra_pin_problems",
         "fleet_percentiles",
         "infer_gaps",
         "load_overrides",
@@ -210,6 +212,9 @@ def cmd_infer(args) -> int:
     model = _load_model(args)
     snapshot = load_registry_snapshot(Path(args.registry))
     overrides = load_overrides(Path(args.overrides) if args.overrides else None)
+    pins = extra_pin_problems(overrides, model)
+    if pins:
+        raise OverrideError([f"{args.overrides}: {problem}" for problem in pins])
     date = args.date or snapshot.snapshot_date or dt.date.today()
     records = list(snapshot.systems)
     if not records:

@@ -664,6 +664,27 @@ class OverridesDocument:
         )
 
 
+def extra_pin_problems(document: OverridesDocument, model: QualityModel) -> list[str]:
+    """Every `extra` pin in `document` that `infer_gaps` would reject under
+    `model`, top-level and per system, each located by its entry.
+
+    A pin depends only on the overrides and the model, so it can be
+    checked before any system is assessed.
+    """
+    entries = [("overrides", document.defaults)]
+    entries += [(f"systems.{system_id}", entry) for system_id, entry in document.per_system.items()]
+    problems = []
+    for where, entry in entries:
+        for sub_id, pinned in entry.extra.items():
+            if sub_id not in model:
+                problems.append(f"{where}: extra.{sub_id}: unknown sub-characteristic")
+            elif pinned.gap not in model.legal_gaps(sub_id):
+                problems.append(
+                    f"{where}: extra.{sub_id}: small gap illegal (no minimal requirement)"
+                )
+    return problems
+
+
 def _systems_keys_as_written(text: str) -> set[str]:
     """The keys of the top-level `systems` mapping, as spelled in `text`."""
     for key, value in compose_yaml(text).value:

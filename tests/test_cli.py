@@ -1034,6 +1034,33 @@ def test_infer_checks_every_stored_identity_before_writing(tmp_path, capsys):
     assert _store_files(store) == before
 
 
+def test_infer_checks_every_extra_pin_before_writing(tmp_path, registry, capsys):
+    overrides = tmp_path / "overrides.yaml"
+    # sandbox comes last: ranker and forecaster would be written before it
+    overrides.write_text(
+        "extra:\n  latency: {gap: large}\n"
+        "systems:\n"
+        "  sandbox: {extra: {fairness: {gap: small}, accuracy: {gap: small}}}\n"
+        "  retired: {extra: {ownership: {gap: small}}}\n"
+    )
+    store = tmp_path / "store"
+    code = main([
+        "infer", "--registry", str(registry), "--overrides", str(overrides),
+        "--store", str(store),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"{overrides}: overrides: extra.latency: unknown sub-characteristic\n"
+        f"{overrides}: systems.sandbox: extra.fairness: small gap illegal "
+        "(no minimal requirement)\n"
+        f"{overrides}: systems.retired: extra.ownership: small gap illegal "
+        "(no minimal requirement)\n"
+    )
+    assert captured.out == ""
+    assert _store_files(store) == {}
+
+
 BOM_MESSAGE = (
     "line 1: file starts with a UTF-8 byte order mark; save it as UTF-8 without one\n"
 )

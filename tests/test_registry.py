@@ -14,6 +14,7 @@ from mlquality.model import Gap, default_model
 from mlquality.registry import (
     ManualOverrides,
     SystemMetadata,
+    extra_pin_problems,
     fleet_percentiles,
     infer_gaps,
     load_overrides,
@@ -292,6 +293,23 @@ def test_extra_override_illegal_small_rejected():
     with pytest.raises(OverrideError) as excinfo:
         infer(record(), overrides)
     assert "small gap illegal" in str(excinfo.value)
+
+
+def test_extra_pin_problems_are_what_infer_gaps_rejects():
+    document = load_overrides(
+        "extra:\n  fairness: {gap: large}\n  accuracy: {gap: small}\n"
+        "systems:\n"
+        "  a: {extra: {latency: {gap: no}}}\n"
+        "  b: {extra: {fairness: {gap: small}}}\n"
+    )
+    assert extra_pin_problems(document, MODEL) == [
+        "systems.a: extra.latency: unknown sub-characteristic",
+        "systems.b: extra.fairness: small gap illegal (no minimal requirement)",
+    ]
+    for system_id in ("a", "b"):
+        with pytest.raises(OverrideError):
+            infer(record(), document.for_system(system_id))
+    infer(record(), document.for_system("c"))
 
 
 def test_inference_is_deterministic():
