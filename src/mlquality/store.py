@@ -12,6 +12,12 @@ The snapshot marks a complete directory: it is written last, and history,
 fleet views and reports read nothing else. A persist that stops early
 leaves a new directory without a snapshot, which no reader sees, and
 leaves a re-persisted directory showing its previous complete result.
+
+Readers walk `<team>/<system>/<date>` by directory listings alone, sorted
+by name, with no `stat` per snapshot, and open each `snapshot.json` once;
+a date directory without one is skipped silently, a corrupted one with a
+warning. `fleet_scan` gives `mlq fleet` its history rows and its cohort
+picks' no-gap masks from that one read.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .assessment import Assessment, GapEntry, serialize_assessment
 from .errors import StoreError
@@ -341,14 +348,14 @@ def snapshot_path(root: str | Path, team: str, system: str, date: dt.date) -> st
 
 def _readable_snapshots(
     system_dir: str, dates: list[str]
-) -> list[tuple[str, dict, HistoryRow]]:
+) -> Iterator[tuple[str, dict, HistoryRow]]:
     """Path, payload and history row of each snapshot in one `<team>/<system>`
     directory that history can read, in date directory order. Any other
     snapshot is skipped with a warning; a date directory without one is
     skipped silently."""
-    found = []
+    prefix = os.path.join(system_dir, "")
     for date in dates:
-        path = os.path.join(system_dir, date, SNAPSHOT_FILE)
+        path = f"{prefix}{date}{os.sep}{SNAPSHOT_FILE}"
         try:
             payload = _read_snapshot(path, absent_ok=True)
             if payload is None:
@@ -364,8 +371,7 @@ def _readable_snapshots(
         except (StoreError, KeyError, TypeError, ValueError, OverflowError) as exc:
             logger.warning("skipping corrupted snapshot %s: %s", path, exc)
             continue
-        found.append((path, payload, row))
-    return found
+        yield path, payload, row
 
 
 def _history_order(row: HistoryRow) -> tuple[str, str, dt.date]:
@@ -387,15 +393,12 @@ def load_assessment(
     """
     system_dir = Path(root) / sanitize_component(team) / sanitize_component(system)
     if date is None:
-        candidates = (
-            os.path.join(directory, name, SNAPSHOT_FILE)
-            for directory, dates in _system_directories(root, team, system)
-            for name in reversed(dates)
-        )
-        latest = next((path for path in candidates if os.path.exists(path)), None)
-        if latest is None:
+        # one directory, as team and system are both given; newest first
+        ((directory, dates),) = _system_directories(root, team, system)
+        found = (Path(directory, name, SNAPSHOT_FILE) for name in reversed(dates))
+        snapshot = next((path for path in found if path.exists()), None)
+        if snapshot is None:
             raise StoreError(f"not found: no assessments under {system_dir}")
-        snapshot = Path(latest)
     else:
         snapshot = system_dir / date.isoformat() / SNAPSHOT_FILE
     if not snapshot.is_file():
@@ -482,28 +485,32 @@ def fleet_scan(
     """`history(root)`, plus what `mlq fleet --before --after` needs of the
     cohort picks, reading each snapshot once.
 
-    The payloads of one `<team>/<system>` directory are kept until that
-    directory is done. For each identity in it, its newest snapshot dated
-    on or before `before` and its newest dated on or after `after` are
-    rebuilt as `load_assessment` rebuilds them, and only the outcome is
-    kept, by path: the no-gap mask, or the StoreError `load_assessment`
-    would raise. A cohort pick whose path has no outcome here (a snapshot
+    While one `<team>/<system>` directory is read, each identity in it
+    keeps the payloads of its newest snapshot so far dated on or before
+    `before` and of its newest dated on or after `after`. When the
+    directory is done, those are rebuilt as `load_assessment` rebuilds
+    them and only the outcome is kept, by path: the no-gap mask, or the
+    StoreError `load_assessment` would raise. A cohort pick whose path has no outcome here (a snapshot
     moved by hand, say) is for the caller to load. With either date None,
     no outcome is kept.
     """
     rows: list[HistoryRow] = []
     outcomes: dict[str, GapMask | StoreError] = {}
     orders: dict[tuple[str, ...], tuple[str, ...]] = {}
+    cohorts = before is not None and after is not None
     for directory in _system_directories(root):
-        readable = _readable_snapshots(*directory)
-        rows.extend(row for _, _, row in readable)
-        if before is None or after is None:
-            continue
+        # per (cohort, team, system): its newest snapshot so far; only
+        # these payloads outlive their own iteration
         newest: dict[tuple[bool, str, str], tuple[str, dict, HistoryRow]] = {}
-        for entry in readable:
+        for entry in _readable_snapshots(*directory):
             row = entry[2]
-            for cohort, member in ((False, row.date <= before), (True, row.date >= after)):
-                key = (cohort, row.team, row.system)
+            rows.append(row)
+            if not cohorts:
+                continue
+            for key, member in (
+                ((False, row.team, row.system), row.date <= before),
+                ((True, row.team, row.system), row.date >= after),
+            ):
                 if member and (key not in newest or row.date > newest[key][2].date):
                     newest[key] = entry
         for path, payload, _ in newest.values():
