@@ -99,9 +99,7 @@ def compliance_by_subcharacteristic(
 
 
 def compliance_from_masks(
-    before: Sequence[GapMask],
-    after: Sequence[GapMask],
-    names: Sequence[str] | None = None,
+    before: Sequence[GapMask], after: Sequence[GapMask], names: Sequence[str]
 ) -> list[ComplianceRow]:
     """`compliance_by_subcharacteristic` over no-gap masks
     (`store.no_gap_mask`), one per cohort member.
@@ -112,15 +110,13 @@ def compliance_from_masks(
     """
     if not before or not after:
         raise ValueError("both cohorts must be non-empty")
-    members = [*before, *after]
-    names = names or [f"cohort member {index + 1}" for index in range(len(members))]
     order = before[0][0]
     position = {sub_id: index for index, sub_id in enumerate(order)}
     agreeing = {order}
-    for name, (member_order, _) in zip(names, members):
+    for name, (member_order, _) in zip(names, [*before, *after]):
         if member_order in agreeing:
             continue
-        if len(member_order) != len(order) or not set(member_order) <= position.keys():
+        if set(member_order) != position.keys():
             missing = [sub_id for sub_id in order if sub_id not in member_order]
             extra = [sub_id for sub_id in member_order if sub_id not in position]
             differences = "; ".join(

@@ -172,7 +172,7 @@ def test_compliance_rejects_members_assessing_other_attributes():
 def test_compliance_from_masks_follows_each_members_own_order():
     ids = list(MODEL.ids)
     before = [(tuple(ids), 0b1), (tuple(reversed(ids)), 1 << (len(ids) - 1))]
-    rows = compliance_from_masks(before, [(tuple(ids), 0)])
+    rows = compliance_from_masks(before, [(tuple(ids), 0)], names=["a", "b", "c"])
     assert rows[0] == ComplianceRow(ids[0], 1.0, 0.0)
     assert all(row.fraction_no_gap_before == 0.0 for row in rows[1:])
 
