@@ -490,9 +490,9 @@ def fleet_scan(
     `before` and of its newest dated on or after `after`. When the
     directory is done, those are rebuilt as `load_assessment` rebuilds
     them and only the outcome is kept, by path: the no-gap mask, or the
-    StoreError `load_assessment` would raise. A cohort pick whose path has no outcome here (a snapshot
-    moved by hand, say) is for the caller to load. With either date None,
-    no outcome is kept.
+    StoreError `load_assessment` would raise. A cohort pick whose path has
+    no outcome here (a snapshot moved by hand, say) is for the caller to
+    load. With either date None, no outcome is kept.
     """
     rows: list[HistoryRow] = []
     outcomes: dict[str, GapMask | StoreError] = {}
