@@ -10,7 +10,6 @@ changes the output.
 from __future__ import annotations
 
 import html
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -87,10 +86,9 @@ def compliance_by_subcharacteristic(
     passes; same systems or a changing fleet both work. Every result must
     assess the attributes the first one does (CohortError otherwise).
     """
-    orders: dict[tuple[str, ...], tuple[str, ...]] = {}
     return compliance_from_masks(
-        [no_gap_mask(result.assessment, orders) for result in before],
-        [no_gap_mask(result.assessment, orders) for result in after],
+        [no_gap_mask(result.assessment) for result in before],
+        [no_gap_mask(result.assessment) for result in after],
         names=[
             f"{a.team}/{a.system_id} {a.date.isoformat()}"
             for a in (result.assessment for result in (*before, *after))
@@ -131,10 +129,10 @@ def compliance_from_masks(
 
     def fractions(cohort: Sequence[GapMask]) -> list[float]:
         clean = [0] * len(order)
-        for (member_order, mask), count in Counter(cohort).items():
+        for member_order, mask in cohort:
             for bit, sub_id in enumerate(member_order):
                 if mask >> bit & 1:
-                    clean[position[sub_id]] += count
+                    clean[position[sub_id]] += 1
         return [value / len(cohort) for value in clean]
 
     return [

@@ -41,13 +41,11 @@ from .scoring import (
 from .store import (
     REPORT_FILE,
     check_identity,
+    date_directory,
     fleet_scan,
     history,
     load_assessment,
-    no_gap_mask,
     persist_assessment,
-    sanitize_component,
-    snapshot_path,
     write_text_atomic,
 )
 from .yamldoc import load_yaml, read_text
@@ -192,13 +190,13 @@ def _check_store_directories(store: Path, records, date: dt.date) -> None:
     directory with each other or with another identity already stored."""
     owners = {}
     for record in records:
-        key = (sanitize_component(record.team), sanitize_component(record.system_id))
-        other = owners.setdefault(key, record)
+        directory = date_directory(store, record.team, record.system_id, date)
+        other = owners.setdefault(directory, record)
         if other is not record:
             raise MlQualityError(
                 f"systems {other.system_id!r} (team {other.team!r}) and "
                 f"{record.system_id!r} (team {record.team!r}) map to the same store "
-                f"directory {Path(store, *key, date.isoformat())}; rename one"
+                f"directory {directory}; rename one"
             )
         # identity only: the gaps are inferred after every record passed
         check_identity(
@@ -246,20 +244,14 @@ def cmd_infer(args) -> int:
 
 def cmd_report(args) -> int:
     model = load_quality_model(Path(args.model)) if args.model else None
-    result = load_assessment(
-        _store_root(args), args.team, args.system, date=args.date, model=model
-    )
+    store = _store_root(args)
+    result = load_assessment(store, args.team, args.system, date=args.date, model=model)
     document = render_report(result, model)
     if args.out:
         target = Path(args.out)
     else:
-        target = (
-            _store_root(args)
-            / sanitize_component(args.team)
-            / sanitize_component(args.system)
-            / result.assessment.date.isoformat()
-            / REPORT_FILE
-        )
+        directory = date_directory(store, args.team, args.system, result.assessment.date)
+        target = directory / REPORT_FILE
     target.parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(target, document.html)
     print(f"report: {target}")
@@ -277,62 +269,40 @@ def cmd_history(args) -> int:
     return 0
 
 
-def _latest_per_system(rows, keep) -> list[tuple[str, str, dt.date]]:
-    """(team, system, date) of the newest row per system among rows passing
-    `keep`, sorted by team and system."""
-    picked: dict[tuple[str, str], dt.date] = {}
-    for row in rows:
-        if not keep(row.date):
-            continue
-        key = (row.team, row.system)
-        if key not in picked or row.date > picked[key]:
-            picked[key] = row.date
-    return [(team, system, date) for (team, system), date in sorted(picked.items())]
-
-
 def cmd_fleet(args) -> int:
     _bind("analytics")
     store = _store_root(args)
-    rows, outcomes = fleet_scan(store, args.before, args.after)
+    rows, cohorts = fleet_scan(store, args.before, args.after)
     if not rows:
         raise MlQualityError(f"store {store} contains no assessments")
     if (args.before is None) != (args.after is None):
         raise UsageError("--before and --after must be given together")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    write_text_atomic(out / "distribution.csv", distribution_csv(score_distribution(rows)))
-    write_text_atomic(out / "trend.svg", render_trend_chart(rows))
-    written = ["distribution.csv", "trend.svg"]
-
-    if args.before is not None:
-        before = _latest_per_system(rows, lambda d: d <= args.before)
-        after = _latest_per_system(rows, lambda d: d >= args.after)
+    views = {
+        "distribution.csv": distribution_csv(score_distribution(rows)),
+        "trend.svg": render_trend_chart(rows),
+    }
+    if cohorts is not None:
+        before, after = cohorts
         if not before or not after:
             raise MlQualityError(
                 "before/after dates leave an empty cohort; nothing to compare"
             )
-        # the scan kept each pick's no-gap mask, or the error loading it
-        # raises; a snapshot picked by both cohorts is looked up once
-        picks = {}
-        for team, system, date in dict.fromkeys(before + after):
-            path = snapshot_path(store, team, system, date)
-            outcome = outcomes.get(path)
-            if outcome is None:
-                # not read at that path, e.g. a snapshot moved by hand
-                outcome = no_gap_mask(load_assessment(store, team, system, date=date).assessment)
-            elif isinstance(outcome, StoreError):
+        for _, outcome in before + after:
+            if isinstance(outcome, StoreError):
                 raise outcome
-            picks[team, system, date] = path, outcome
         compliance = compliance_from_masks(
-            [picks[key][1] for key in before],
-            [picks[key][1] for key in after],
-            names=[picks[key][0] for key in before + after],
+            [mask for _, mask in before],
+            [mask for _, mask in after],
+            names=[path for path, _ in before + after],
         )
-        write_text_atomic(out / "compliance.csv", compliance_csv(compliance))
-        write_text_atomic(out / "compliance.svg", render_compliance_chart(compliance))
-        written += ["compliance.csv", "compliance.svg"]
-    for name in written:
+        views["compliance.csv"] = compliance_csv(compliance)
+        views["compliance.svg"] = render_compliance_chart(compliance)
+    # written only once every check has passed
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in views.items():
+        write_text_atomic(out / name, content)
+    for name in views:
         print(f"wrote: {out / name}")
     return 0
 

@@ -16,8 +16,8 @@ leaves a re-persisted directory showing its previous complete result.
 Readers walk `<team>/<system>/<date>` by directory listings alone, sorted
 by name, with no `stat` per snapshot, and open each `snapshot.json` once;
 a date directory without one is skipped silently, a corrupted one with a
-warning. `fleet_scan` gives `mlq fleet` its history rows and its cohort
-picks' no-gap masks from that one read.
+warning. `fleet_scan` gives `mlq fleet` its history rows and its cohorts,
+each pick's no-gap mask, from that one read.
 """
 
 from __future__ import annotations
@@ -199,13 +199,14 @@ def write_text_atomic(path: Path, content: str) -> None:
         raise
 
 
-def _date_directory(root: str | Path, assessment: Assessment) -> Path:
-    return (
-        Path(root)
-        / sanitize_component(assessment.team)
-        / sanitize_component(assessment.system_id)
-        / assessment.date.isoformat()
-    )
+def date_directory(root: str | Path, team: str, system: str, date: dt.date) -> Path:
+    """The store directory of one identity and date: `<root>/<team>/<system>/<date>`,
+    with team and system made path-safe by `sanitize_component`.
+
+    `persist_assessment` writes there and every reader looks there, so
+    names that sanitize alike, such as `a b` and `a_b`, share it.
+    """
+    return Path(root, sanitize_component(team), sanitize_component(system), date.isoformat())
 
 
 def check_identity(root: str | Path, assessment: Assessment) -> None:
@@ -218,7 +219,10 @@ def check_identity(root: str | Path, assessment: Assessment) -> None:
     than replaced. A snapshot that cannot be read records no identity and
     may be replaced. Costs one stat when the directory holds no snapshot.
     """
-    snapshot = _date_directory(root, assessment) / SNAPSHOT_FILE
+    snapshot = (
+        date_directory(root, assessment.team, assessment.system_id, assessment.date)
+        / SNAPSHOT_FILE
+    )
     if not snapshot.is_file():
         return
     try:
@@ -246,7 +250,7 @@ def persist_assessment(
     first refuses a directory holding another team's or system's result.
     """
     assessment = result.assessment
-    directory = _date_directory(root, assessment)
+    directory = date_directory(root, assessment.team, assessment.system_id, assessment.date)
     payload = _snapshot_payload(result, model)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -336,14 +340,8 @@ def _system_directories(
 
 def snapshot_path(root: str | Path, team: str, system: str, date: dt.date) -> str:
     """Where `persist_assessment` writes, and `load_assessment` reads, the
-    snapshot of one identity and date."""
-    return os.path.join(
-        _root_prefix(root),
-        sanitize_component(team),
-        sanitize_component(system),
-        date.isoformat(),
-        SNAPSHOT_FILE,
-    )
+    snapshot of one identity and date, spelled as the store walk spells it."""
+    return os.path.join(date_directory(root, team, system, date), SNAPSHOT_FILE)
 
 
 def _readable_snapshots(
@@ -460,50 +458,55 @@ def history(
 
 
 # the attribute ids of one assessment in its own order, and a bit per
-# attribute, set when it has no gap; assessments share equal orders
+# attribute, set when it has no gap
 GapMask = tuple[tuple[str, ...], int]
+# per cohort pick, in team/system order: its snapshot path, and its no-gap
+# mask or the StoreError `load_assessment` raises for it
+CohortPicks = list[tuple[str, GapMask | StoreError]]
 
 
-def no_gap_mask(
-    assessment: Assessment, orders: dict[tuple[str, ...], tuple[str, ...]] | None = None
-) -> GapMask:
+def no_gap_mask(assessment: Assessment) -> GapMask:
     """Which attributes of `assessment` have no gap, as a bit mask over its
-    attribute order; `orders` interns equal orders so they are kept once."""
-    order = tuple(assessment.gaps)
-    if orders is not None:
-        order = orders.setdefault(order, order)
+    attribute order."""
     mask = 0
     for bit, entry in enumerate(assessment.gaps.values()):
         if entry.gap is Gap.NO_GAP:
             mask |= 1 << bit
-    return order, mask
+    return tuple(assessment.gaps), mask
+
+
+def _outcome(load, *args) -> GapMask | StoreError:
+    """The no-gap mask of the result `load(*args)` gives, or its StoreError."""
+    try:
+        return no_gap_mask(load(*args).assessment)
+    except StoreError as exc:
+        return exc
 
 
 def fleet_scan(
     root: str | Path, before: dt.date | None = None, after: dt.date | None = None
-) -> tuple[list[HistoryRow], dict[str, GapMask | StoreError]]:
-    """`history(root)`, plus what `mlq fleet --before --after` needs of the
-    cohort picks, reading each snapshot once.
+) -> tuple[list[HistoryRow], tuple[CohortPicks, CohortPicks] | None]:
+    """`history(root)`, plus the `mlq fleet` cohorts, reading each snapshot once.
 
-    While one `<team>/<system>` directory is read, each identity in it
-    keeps the payloads of its newest snapshot so far dated on or before
-    `before` and of its newest dated on or after `after`. When the
-    directory is done, those are rebuilt as `load_assessment` rebuilds
-    them and only the outcome is kept, by path: the no-gap mask, or the
-    StoreError `load_assessment` would raise. A cohort pick whose path has
-    no outcome here (a snapshot moved by hand, say) is for the caller to
-    load. With either date None, no outcome is kept.
+    The cohorts are None unless both dates are given, else (before, after):
+    per identity, in team/system order, its newest snapshot dated on or
+    before `before`, and its newest dated on or after `after` (the first
+    read of equal dates). Each pick is what `load_assessment` makes of
+    `snapshot_path(root, team, system, date)`: a no-gap mask, or a
+    StoreError. Only the directory being read keeps payloads: when it is
+    done, those still some identity's newest are rebuilt, and the outcome
+    is kept by path. A pick read elsewhere (moved by hand, say) is loaded
+    after the scan; each path is rebuilt at most once.
     """
     rows: list[HistoryRow] = []
-    outcomes: dict[str, GapMask | StoreError] = {}
-    orders: dict[tuple[str, ...], tuple[str, ...]] = {}
     cohorts = before is not None and after is not None
+    # per (cohort, team, system): the date and path of its newest snapshot so far
+    newest: dict[tuple[bool, str, str], tuple[dt.date, str]] = {}
+    outcomes: dict[str, GapMask | StoreError] = {}
     for directory in _system_directories(root):
-        # per (cohort, team, system): its newest snapshot so far; only
-        # these payloads outlive their own iteration
-        newest: dict[tuple[bool, str, str], tuple[str, dict, HistoryRow]] = {}
-        for entry in _readable_snapshots(*directory):
-            row = entry[2]
+        # the payloads of this directory's candidates, by the key they lead
+        fresh: dict[tuple[bool, str, str], tuple[str, dict]] = {}
+        for path, payload, row in _readable_snapshots(*directory):
             rows.append(row)
             if not cohorts:
                 continue
@@ -511,13 +514,30 @@ def fleet_scan(
                 ((False, row.team, row.system), row.date <= before),
                 ((True, row.team, row.system), row.date >= after),
             ):
-                if member and (key not in newest or row.date > newest[key][2].date):
-                    newest[key] = entry
-        for path, payload, _ in newest.values():
+                if member and (key not in newest or row.date > newest[key][0]):
+                    newest[key] = row.date, path
+                    fresh[key] = path, payload
+        for path, payload in fresh.values():
             if path not in outcomes:
-                try:
-                    outcomes[path] = no_gap_mask(_checked_result(path, payload).assessment, orders)
-                except StoreError as exc:
-                    outcomes[path] = exc
+                outcomes[path] = _outcome(_checked_result, path, payload)
     rows.sort(key=_history_order)
-    return rows, outcomes
+    if not cohorts:
+        return rows, None
+
+    def pick(key: tuple[bool, str, str]) -> tuple[str, GapMask | StoreError]:
+        _, team, system = key
+        date, read_at = newest[key]
+        try:
+            path = snapshot_path(root, team, system, date)
+        except StoreError as exc:
+            # not path-safe, so never stored under this identity
+            return read_at, exc
+        if path not in outcomes:
+            outcomes[path] = _outcome(load_assessment, root, team, system, date)
+        return path, outcomes[path]
+
+    picks = sorted(newest)
+    return rows, (
+        [pick(key) for key in picks if not key[0]],
+        [pick(key) for key in picks if key[0]],
+    )

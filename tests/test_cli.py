@@ -504,7 +504,7 @@ def test_report_on_malformed_snapshot_exits_1(tmp_path, registry, capsys, edit, 
 def _reference_fleet(store, before, after):
     """Exit code, stderr and views of `mlq fleet --before --after`, from the
     public API: `history()` rows, one `load_assessment` per cohort pick and
-    `compliance_by_subcharacteristic`."""
+    `compliance_by_subcharacteristic`. On exit 1 no view is written."""
     from mlquality.analytics import (
         compliance_by_subcharacteristic,
         compliance_csv,
@@ -532,14 +532,14 @@ def _reference_fleet(store, before, after):
 
     picks = cohort(lambda date: date <= before), cohort(lambda date: date >= after)
     if not all(picks):
-        return 1, "before/after dates leave an empty cohort; nothing to compare\n", views
+        return 1, "before/after dates leave an empty cohort; nothing to compare\n", {}
     try:
         results = {
             key: load_assessment(store, key[0], key[1], date=key[2])
             for key in dict.fromkeys(picks[0] + picks[1])
         }
     except StoreError as exc:
-        return 1, f"{exc}\n", views
+        return 1, f"{exc}\n", {}
     compliance = compliance_by_subcharacteristic(
         *([results[key] for key in cohort] for cohort in picks)
     )
@@ -606,7 +606,7 @@ def test_fleet_on_malformed_cohort_pick_exits_1(
         assert code == 1
         assert err.startswith(f"malformed snapshot {snapshot}: {message}")
         assert warnings == []
-        assert sorted(views) == ["distribution.csv", "trend.svg"]
+        assert views == {}
     else:
         # `mlq history` cannot read it either, so no cohort picks it
         assert code == 0 and err == ""
