@@ -136,44 +136,65 @@ def _snapshot_payload(result: AssessmentResult, model: QualityModel) -> dict:
     }
 
 
+def _text(mapping: dict, key: str) -> str:
+    value = mapping[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be text, not {type(value).__name__}")
+    return value
+
+
+def _score(mapping: dict, key: str) -> int:
+    value = int(mapping[key])
+    if not 0 <= value <= 100:
+        raise ValueError(f"{key} {value} is not in 0..100")
+    return value
+
+
 def _result_from_payload(payload: dict) -> AssessmentResult:
     identity = payload["identity"]
+    family = identity["family_members"]
+    if not isinstance(family, list) or not all(isinstance(name, str) for name in family):
+        raise TypeError("family_members must be a list of text")
     criticality = BusinessCriticality(
         level=CriticalityLevel(payload["criticality"]["level"]),
-        justification=payload["criticality"]["justification"],
+        justification=_text(payload["criticality"], "justification"),
     )
     gaps = {
-        row["sub_characteristic"]: GapEntry(
-            gap=GAP_ALIASES[row["gap"]], reason=row["reason"]
+        _text(row, "sub_characteristic"): GapEntry(
+            gap=GAP_ALIASES[row["gap"]], reason=_text(row, "reason")
         )
         for row in payload["gaps"]
     }
+    colors = {
+        _text(row, "sub_characteristic"): GapColor(row["color"]) for row in payload["colors"]
+    }
+    if colors.keys() != gaps.keys():
+        differ = sorted(colors.keys() ^ gaps.keys())
+        raise ValueError(f"colors and gaps name different attributes: {', '.join(differ)}")
+    rows = payload["characteristic_scores"]
+    scores = {Characteristic(row["characteristic"]): _score(row, "score") for row in rows}
+    if len(scores) != len(rows) or len(scores) != len(Characteristic):
+        raise ValueError("characteristic_scores must name each characteristic once")
     assessment = Assessment(
-        team=identity["team"],
-        system_id=identity["system"],
+        team=_text(identity, "team"),
+        system_id=_text(identity, "system"),
         date=dt.date.fromisoformat(identity["date"]),
         gaps=gaps,
-        family_members=tuple(identity["family_members"]),
+        family_members=tuple(family),
         criticality=criticality,
     )
     return AssessmentResult(
         assessment=assessment,
-        quality_score=int(payload["quality_score"]),
-        characteristic_scores={
-            Characteristic(row["characteristic"]): int(row["score"])
-            for row in payload["characteristic_scores"]
-        },
+        quality_score=_score(payload, "quality_score"),
+        characteristic_scores=scores,
         maturity=int(payload["maturity"]),
         required_maturity=int(payload["required_maturity"]),
-        colors={
-            row["sub_characteristic"]: GapColor(row["color"])
-            for row in payload["colors"]
-        },
+        colors=colors,
         recommendations=tuple(
             Recommendation(
-                sub_characteristic=row["sub_characteristic"],
-                reason=row["reason"],
-                remediation=row["remediation"],
+                sub_characteristic=_text(row, "sub_characteristic"),
+                reason=_text(row, "reason"),
+                remediation=_text(row, "remediation"),
             )
             for row in payload["recommendations"]
         ),
@@ -360,10 +381,10 @@ def _readable_snapshots(
                 continue
             identity = payload["identity"]
             row = HistoryRow(
-                team=identity["team"],
-                system=identity["system"],
+                team=_text(identity, "team"),
+                system=_text(identity, "system"),
                 date=dt.date.fromisoformat(identity["date"]),
-                quality_score=int(payload["quality_score"]),
+                quality_score=_score(payload, "quality_score"),
                 maturity=int(payload["maturity"]),
             )
         except (StoreError, KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -9,6 +9,7 @@ import io
 import json
 import logging
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -433,14 +434,7 @@ def test_fleet_opens_each_snapshot_once(tmp_path, registry, monkeypatch):
     store = tmp_path / "store"
     for date in ("2026-06-01", "2026-07-01"):
         main(["infer", "--registry", str(registry), "--store", str(store), "--date", date])
-    loads = []
-    real = cli.load_assessment
-
-    def counting(*args, **kwargs):
-        loads.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "load_assessment", counting)
+    loads = _record_loads(monkeypatch)
     opened = _record_snapshot_opens(monkeypatch)
     code = main([
         "fleet", "--store", str(store), "--out", str(tmp_path / "fleet"),
@@ -453,13 +447,65 @@ def test_fleet_opens_each_snapshot_once(tmp_path, registry, monkeypatch):
     assert len((tmp_path / "fleet" / "compliance.csv").read_text().splitlines()) == 26
 
 
+def _record_loads(monkeypatch) -> list[tuple]:
+    """Arguments of each `load_assessment` call the store makes from now on."""
+    import mlquality.store as store_module
+
+    loads: list[tuple] = []
+    real = store_module.load_assessment
+
+    def counting(*args, **kwargs):
+        loads.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(store_module, "load_assessment", counting)
+    return loads
+
+
+@pytest.mark.parametrize("how", ["moved", "copied ahead"])
+def test_fleet_loads_a_hand_moved_pick_of_both_cohorts_once(
+    tmp_path, registry, monkeypatch, capsys, how
+):
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+    ranker = store / "search" / "ranker"
+    if how == "moved":
+        # read under another date: its own path holds nothing
+        (ranker / "2026-07-01").rename(ranker / "2026-06-15")
+    else:
+        # read first from a directory sorted before its own, so the scan
+        # never rebuilds the copy at its own path
+        (store / "search" / "aaa").mkdir()
+        (ranker / "2026-07-01").rename(store / "search" / "aaa" / "2026-07-01")
+        (ranker / "2026-07-01").mkdir()
+        shutil.copy(store / "search" / "aaa" / "2026-07-01" / "snapshot.json",
+                    ranker / "2026-07-01" / "snapshot.json")
+    capsys.readouterr()
+    got, expected = _fleet_and_reference(
+        store, tmp_path / "fleet", dt.date(2026, 7, 1), dt.date(2026, 7, 1)
+    )
+    assert got == expected
+    code, err, _, views = got
+    if how == "moved":
+        assert (code, views) == (1, {})
+        assert err == f"not found: {ranker / '2026-07-01' / 'snapshot.json'}\n"
+    else:
+        assert (code, len(views)) == (0, 4)
+    loads = _record_loads(monkeypatch)
+    assert main([
+        "fleet", "--store", str(store), "--out", str(tmp_path / "again"),
+        "--before", "2026-07-01", "--after", "2026-07-01",
+    ]) == code
+    assert loads == [(store, "search", "ranker", dt.date(2026, 7, 1))]
+
+
 def _mutate_snapshot(path, payload_edit):
     payload = json.loads(path.read_text())
     path.write_text(json.dumps(payload_edit(payload)))
 
 
-# hand edits that `mlq report` rejects; the first three keep the snapshot
-# readable by `mlq history`, the last three do not
+# hand edits that `mlq report` rejects; those in HISTORY_READABLE keep the
+# snapshot readable by `mlq history`, the others do not
 MALFORMED_EDITS = [
     pytest.param(
         lambda payload: {**payload, "gaps": [{**payload["gaps"][0], "gap": "huge"}]},
@@ -479,13 +525,50 @@ MALFORMED_EDITS = [
         "ValueError: 'speed' is not a valid Characteristic",
         id="characteristic",
     ),
+    pytest.param(
+        lambda payload: {**payload, "gaps": payload["gaps"][1:]},
+        f"ValueError: colors and gaps name different attributes: {MODEL.ids[0]}",
+        id="uncolored gap",
+    ),
+    pytest.param(
+        lambda payload: {**payload, "characteristic_scores": payload["characteristic_scores"][1:]},
+        "ValueError: characteristic_scores must name each characteristic once",
+        id="missing characteristic",
+    ),
+    pytest.param(
+        lambda payload: {
+            **payload, "gaps": [{**payload["gaps"][0], "reason": 1}, *payload["gaps"][1:]]
+        },
+        "TypeError: reason must be text, not int",
+        id="numeric reason",
+    ),
+    pytest.param(
+        lambda payload: {
+            **payload, "criticality": {**payload["criticality"], "justification": 5}
+        },
+        "TypeError: justification must be text, not int",
+        id="numeric justification",
+    ),
     pytest.param(lambda payload: {"snapshot_version": 1}, "KeyError: 'identity'", id="version only"),
     pytest.param(lambda payload: {**payload, "identity": "ranker"}, "TypeError:", id="identity"),
     pytest.param(
         lambda payload: {**payload, "maturity": float("inf")}, "OverflowError:", id="infinite"
     ),
+    pytest.param(
+        lambda payload: {**payload, "identity": {**payload["identity"], "team": 7}},
+        "TypeError: team must be text, not int",
+        id="numeric team",
+    ),
 ]
-HISTORY_READABLE = {"gap token", "color token", "characteristic"}
+HISTORY_READABLE = {
+    "gap token",
+    "color token",
+    "characteristic",
+    "uncolored gap",
+    "missing characteristic",
+    "numeric reason",
+    "numeric justification",
+}
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_EDITS)
@@ -646,8 +729,13 @@ def test_fleet_rejects_cohort_members_assessing_other_attributes(
     main(["infer", "--registry", str(registry), "--store", str(store)])
 
     def without_accuracy(payload):
-        gaps = [row for row in payload["gaps"] if row["sub_characteristic"] != "accuracy"]
-        return {**payload, "gaps": gaps}
+        return {
+            **payload,
+            **{
+                key: [row for row in payload[key] if row["sub_characteristic"] != "accuracy"]
+                for key in ("gaps", "colors")
+            },
+        }
 
     _mutate_snapshot(store / victim / "2026-07-01" / "snapshot.json", without_accuracy)
     capsys.readouterr()
@@ -662,6 +750,33 @@ def test_fleet_rejects_cohort_members_assessing_other_attributes(
         f"{snapshot} does not assess the same attributes as {first}: {difference}\n"
     )
     assert not (tmp_path / "fleet" / "compliance.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "failure, before",
+    [
+        ("malformed pick", "2026-06-01"),
+        ("empty cohort", "2026-04-01"),
+        ("other attributes", "2026-06-01"),
+    ],
+)
+def test_fleet_exit_1_keeps_the_previous_views(tmp_path, three_months, capsys, failure, before):
+    out = tmp_path / "fleet"
+    argv = ["fleet", "--store", str(three_months), "--out", str(out), "--after", "2026-07-01"]
+    assert main([*argv, "--before", "2026-06-01"]) == 0
+    previous = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(previous) == 4
+    # a run that would write other views: one more month, and a cohort failure
+    snapshot = three_months / "search" / "ranker" / "2026-07-01" / "snapshot.json"
+    shutil.copytree(snapshot.parent, snapshot.parent.parent / "2026-08-01")
+    if failure == "malformed pick":
+        _mutate_snapshot(snapshot, MALFORMED_EDITS[0].values[0])
+    elif failure == "other attributes":
+        _mutate_snapshot(snapshot, lambda payload: {**payload, "gaps": payload["gaps"][1:]})
+    capsys.readouterr()
+    assert main([*argv, "--before", before]) == 1
+    assert capsys.readouterr().out == ""
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
 
 
 FLEET_DAYS = st.integers(2, 7)
@@ -1059,6 +1174,51 @@ def test_infer_checks_every_extra_pin_before_writing(tmp_path, registry, capsys)
     )
     assert captured.out == ""
     assert _store_files(store) == {}
+
+
+def test_infer_assesses_small_evidence_as_large_without_a_minimal_requirement(
+    tmp_path, capsys
+):
+    model = tmp_path / "model.yaml"
+    model.write_text(
+        "sub_characteristics: {testability: {minimal_requirement: null}}\n"
+        "matrix: {testability: ['-', '-', full, full, full]}\n"
+    )
+    registry = tmp_path / "snapshot.yaml"
+    # the second system's coverage meets only the 20% bar
+    registry.write_text(REGISTRY_YAML.replace(
+        "    requests_per_day: 100\n", "    requests_per_day: 100\n    test_coverage: 0.5\n"
+    ))
+    store = tmp_path / "store"
+    code = main([
+        "infer", "--registry", str(registry), "--store", str(store), "--model", str(model),
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert len(list(store.glob("*/*/*/snapshot.json"))) == 3
+    payload = json.loads((store / "supply" / "forecaster" / "2026-07-01" / "snapshot.json")
+                         .read_text())
+    (testability,) = [row for row in payload["gaps"] if row["sub_characteristic"] == "testability"]
+    assert testability == {
+        "sub_characteristic": "testability",
+        "gap": "large",
+        "reason": "test coverage 50% meets only the 20% bar",
+    }
+
+
+def test_history_skips_a_snapshot_whose_team_is_not_text(tmp_path, registry, capsys, caplog):
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+    snapshot = store / "search" / "ranker" / "2026-07-01" / "snapshot.json"
+    _mutate_snapshot(snapshot, lambda payload: {
+        **payload, "identity": {**payload["identity"], "team": 7},
+    })
+    capsys.readouterr()
+    assert main(["history", "--store", str(store)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["lab", "sandbox"], ["supply", "forecaster"]]
+    assert [message for message in caplog.messages if "skipping" in message] == [
+        f"skipping corrupted snapshot {snapshot}: team must be text, not int"
+    ]
 
 
 BOM_MESSAGE = (
