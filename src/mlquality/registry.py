@@ -32,6 +32,7 @@ import datetime as dt
 import logging
 import math
 import operator
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
@@ -167,7 +168,8 @@ def check_field(name: str, value, problems: list[str], where: str) -> bool:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             problems.append(f"{where}: {name} must be a number, got {value!r}")
             return False
-        if not math.isfinite(value):
+        # unlike math.isfinite, also refuses an integer too large for a float
+        if not abs(value) <= sys.float_info.max:
             problems.append(f"{where}: {name} must be a finite number, got {value!r}")
             return False
         if value < 0:
@@ -560,7 +562,10 @@ def infer_gaps(
 
     Inference is deterministic: the same record, overrides and fleet stats
     always yield the same gaps and reason strings. Entries in
-    `overrides.extra` win over every inferred value. Otherwise an
+    `overrides.extra` win over every inferred value; a small one on an
+    attribute without a minimal requirement raises OverrideError. An
+    inferred or reviewed small gap there becomes large, with its reason,
+    as the model has no middle rung for it. Otherwise an
     attribute whose rule reads an absent field gets a large gap with the
     reason "no evidence in registry", whatever its other fields say; this
     is the only place that policy is applied. The returned assessment
@@ -598,9 +603,11 @@ def infer_gaps(
             else:
                 entry = judge(*values)
         if entry.gap not in model.legal_gaps(sub_id):
-            raise OverrideError(
-                f"{sub_id}: small gap illegal (no minimal requirement)"
-            )
+            if sub_id in overrides.extra:
+                raise OverrideError(f"{sub_id}: small gap illegal (no minimal requirement)")
+            # the model has no middle rung here: only the minimal requirement
+            # met is not the full requirement met
+            entry = GapEntry(Gap.LARGE, entry.reason)
         gaps[sub_id] = entry
     return Assessment(
         team=record.team,

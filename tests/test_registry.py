@@ -10,7 +10,7 @@ import pytest
 
 from mlquality.assessment import GapEntry
 from mlquality.errors import OverrideError, SnapshotError
-from mlquality.model import Gap, default_model
+from mlquality.model import Gap, default_model, load_quality_model
 from mlquality.registry import (
     ManualOverrides,
     SystemMetadata,
@@ -295,6 +295,35 @@ def test_extra_override_illegal_small_rejected():
     assert "small gap illegal" in str(excinfo.value)
 
 
+NO_MIDDLE_RUNG = load_quality_model(
+    "sub_characteristics:\n"
+    "  testability: {minimal_requirement: null}\n"
+    "  modularity: {minimal_requirement: null}\n"
+    "matrix:\n"
+    "  testability: ['-', '-', full, full, full]\n"
+    "  modularity: ['-', '-', full, full, full]\n"
+)
+
+
+def test_small_gap_without_a_minimal_requirement_is_inferred_large():
+    overrides = ManualOverrides(readability="full", modularity="partial")
+    assessment = infer_gaps(
+        record(test_coverage=0.5), overrides, FLEET, NO_MIDDLE_RUNG, date=DATE
+    )
+    assert assessment.gaps["testability"] == GapEntry(
+        Gap.LARGE, "test coverage 50% meets only the 20% bar"
+    )
+    assert assessment.gaps["modularity"] == GapEntry(
+        Gap.LARGE, "human review: only the minimal requirement met"
+    )
+    # the default model keeps its middle rung
+    assert infer(record(test_coverage=0.5), overrides).gap("testability") is Gap.SMALL
+    # a pinned small gap there is still refused
+    pinned = ManualOverrides(extra={"testability": GapEntry(Gap.SMALL, "half")})
+    with pytest.raises(OverrideError, match="testability: small gap illegal"):
+        infer_gaps(record(), pinned, FLEET, NO_MIDDLE_RUNG, date=DATE)
+
+
 def test_extra_pin_problems_are_what_infer_gaps_rejects():
     document = load_overrides(
         "extra:\n  fairness: {gap: large}\n  accuracy: {gap: small}\n"
@@ -406,3 +435,13 @@ def test_overrides_boolean_true_gap_asks_for_quotes():
     (problem,) = excinfo.value.problems
     assert problem.startswith("overrides: extra.fairness: gap reads as the boolean true")
     assert "quote the gap token" in problem
+
+
+def test_parse_rejects_an_integer_too_large_for_a_float():
+    count = 10**400
+    text = snapshot_yaml(f"  - {{system_id: a, team: t, requests_per_day: {count}}}")
+    with pytest.raises(SnapshotError) as excinfo:
+        load_registry_snapshot(text)
+    assert excinfo.value.problems == [
+        f"systems[0]: requests_per_day must be a finite number, got {count}"
+    ]
