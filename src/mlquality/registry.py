@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import datetime as dt
 import logging
-import math
 import operator
 import sys
 from collections.abc import Callable
@@ -562,15 +561,14 @@ def infer_gaps(
 
     Inference is deterministic: the same record, overrides and fleet stats
     always yield the same gaps and reason strings. Entries in
-    `overrides.extra` win over every inferred value; a small one on an
-    attribute without a minimal requirement raises OverrideError. An
-    inferred or reviewed small gap there becomes large, with its reason,
-    as the model has no middle rung for it. Otherwise an
+    `overrides.extra` win over every inferred value. Otherwise an
     attribute whose rule reads an absent field gets a large gap with the
     reason "no evidence in registry", whatever its other fields say; this
-    is the only place that policy is applied. The returned assessment
-    carries no criticality yet; see `usage_from_metadata` and
-    `determine_criticality`.
+    is the only place that policy is applied. On an attribute without a
+    minimal requirement an inferred or reviewed small gap becomes large,
+    keeping its reason, while a small `extra` pin raises OverrideError.
+    The returned assessment carries no criticality yet; see
+    `usage_from_metadata` and `determine_criticality`.
     """
     problems = [
         f"override on unknown sub-characteristic: {sub_id}"

@@ -28,6 +28,7 @@ import json
 import logging
 import os
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -221,13 +222,11 @@ def write_text_atomic(path: Path, content: str) -> None:
 
 
 def date_directory(root: str | Path, team: str, system: str, date: dt.date) -> Path:
-    """The store directory of one identity and date: `<root>/<team>/<system>/<date>`,
-    with team and system made path-safe by `sanitize_component`.
-
-    `persist_assessment` writes there and every reader looks there, so
-    names that sanitize alike, such as `a b` and `a_b`, share it.
-    """
-    return Path(root, sanitize_component(team), sanitize_component(system), date.isoformat())
+    """The store directory of one identity and date, `<root>/<team>/<system>/<date>`,
+    with team and system made path-safe by `sanitize_component`: where
+    `persist_assessment` writes and every reader looks. Names that sanitize
+    alike, such as `a b` and `a_b`, share it."""
+    return Path(snapshot_path(root, team, system, date)).parent
 
 
 def check_identity(root: str | Path, assessment: Assessment) -> None:
@@ -240,10 +239,7 @@ def check_identity(root: str | Path, assessment: Assessment) -> None:
     than replaced. A snapshot that cannot be read records no identity and
     may be replaced. Costs one stat when the directory holds no snapshot.
     """
-    snapshot = (
-        date_directory(root, assessment.team, assessment.system_id, assessment.date)
-        / SNAPSHOT_FILE
-    )
+    snapshot = Path(snapshot_path(root, assessment.team, assessment.system_id, assessment.date))
     if not snapshot.is_file():
         return
     try:
@@ -360,9 +356,16 @@ def _system_directories(
 
 
 def snapshot_path(root: str | Path, team: str, system: str, date: dt.date) -> str:
-    """Where `persist_assessment` writes, and `load_assessment` reads, the
-    snapshot of one identity and date, spelled as the store walk spells it."""
-    return os.path.join(date_directory(root, team, system, date), SNAPSHOT_FILE)
+    """The snapshot file in `date_directory(root, team, system, date)`,
+    spelled as the store walk spells it; a plain string, as the walk
+    builds no `Path` per snapshot."""
+    return os.path.join(
+        _root_prefix(root),
+        sanitize_component(team),
+        sanitize_component(system),
+        date.isoformat(),
+        SNAPSHOT_FILE,
+    )
 
 
 def _readable_snapshots(
@@ -488,12 +491,16 @@ CohortPicks = list[tuple[str, GapMask | StoreError]]
 
 def no_gap_mask(assessment: Assessment) -> GapMask:
     """Which attributes of `assessment` have no gap, as a bit mask over its
-    attribute order."""
+    attribute order.
+
+    The ids are interned: a mask outlives the snapshot they were parsed
+    from, and would otherwise keep that snapshot's copies of them alive.
+    """
     mask = 0
     for bit, entry in enumerate(assessment.gaps.values()):
         if entry.gap is Gap.NO_GAP:
             mask |= 1 << bit
-    return tuple(assessment.gaps), mask
+    return tuple(map(sys.intern, assessment.gaps)), mask
 
 
 def _outcome(load, *args) -> GapMask | StoreError:
