@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mlquality.cli as cli
 from conftest import make_assessment
 from mlquality.cli import main
 from mlquality.errors import StoreError
