@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CohortError
+from .model import LEVELS
 from .percentiles import nearest_rank
 from .scoring import AssessmentResult
 from .store import GapMask, HistoryRow, no_gap_mask
@@ -218,14 +219,7 @@ def _maturity_marker(x: float, y: float, maturity: int, color: str) -> str:
     return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{color}"/>'
 
 
-_MARKER_LEGEND = (
-    (0, "below level 1"),
-    (1, "level 1"),
-    (2, "level 2"),
-    (3, "level 3"),
-    (4, "level 4"),
-    (5, "level 5"),
-)
+_MARKER_LEGEND = ((0, "below level 1"),) + tuple((level, f"level {level}") for level in LEVELS)
 
 
 def render_trend_chart(rows: Iterable[HistoryRow]) -> str:

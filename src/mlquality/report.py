@@ -192,7 +192,7 @@ def render_report(
     }
 
     sections = []
-    for color in (GapColor.RED, GapColor.ORANGE, GapColor.YELLOW, GapColor.GREEN):
+    for color in GapColor:
         members = [
             sub_id for sub_id, c in result.colors.items() if c is color
         ]

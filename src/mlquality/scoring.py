@@ -2,11 +2,11 @@
 gap colors and ordered recommendations.
 
 Maturity, level checks and colors all rest on one question per attribute,
-answered once per model: which is the lowest level whose demand its gap
-violates (6 when none)? Maturity is the lowest answer over all attributes,
-minus one. A level is satisfied when every answer lies above it. A gap is
-red when its answer is maturity + 1, orange when it is at most the required
-level, yellow above that, and green when there is no violated level.
+which `first_violated_levels` answers: which is the lowest level whose
+demand its gap violates (6 when none)? Maturity is the lowest answer minus
+one; a level is satisfied when maturity reaches it. A gap is red when its
+answer is maturity + 1, orange when it is at most the required level,
+yellow above that, and green when there is no violated level.
 
 All functions are pure and operate on immutable inputs, so assessments can
 be evaluated in parallel without shared state.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from .assessment import Assessment, check_gaps_total
-from .model import LEVELS, Characteristic, QualityModel
+from .model import LEVELS, Characteristic, QualityModel, SubCharacteristic
 
 
 class CriticalityLevel(IntEnum):
@@ -64,7 +64,8 @@ class FleetStats:
 
 
 class GapColor(Enum):
-    """Remediation urgency of a gap relative to the maturity ladder."""
+    """Remediation urgency of a gap relative to the maturity ladder, most
+    urgent first."""
 
     RED = "red"        # blocks the next maturity level
     ORANGE = "orange"  # blocks a later level up to the required one
@@ -72,7 +73,7 @@ class GapColor(Enum):
     GREEN = "green"    # no gap
 
 
-_SEVERITY = {GapColor.RED: 0, GapColor.ORANGE: 1, GapColor.YELLOW: 2, GapColor.GREEN: 3}
+_SEVERITY = {color: rank for rank, color in enumerate(GapColor)}
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,16 @@ class AssessmentResult:
     recommendations: tuple[Recommendation, ...]
 
 
-def _floor_score(gap_sum: int, row_count: int) -> int:
+def _floor_score(assessment: Assessment, rows: tuple[SubCharacteristic, ...]) -> int:
     # floor(100 * (1 - gap_sum / (2 * row_count))), in exact integer math
-    return 100 * (2 * row_count - gap_sum) // (2 * row_count)
+    gap_sum = sum(assessment.gap(sub.id) for sub in rows)
+    return 100 * (2 * len(rows) - gap_sum) // (2 * len(rows))
+
+
+def _characteristic_scores(
+    assessment: Assessment, model: QualityModel
+) -> dict[Characteristic, int]:
+    return {c: _floor_score(assessment, model.rows_of(c)) for c in model.characteristics}
 
 
 def quality_score(assessment: Assessment, model: QualityModel) -> int:
@@ -113,8 +121,7 @@ def quality_score(assessment: Assessment, model: QualityModel) -> int:
     attribute.
     """
     check_gaps_total(assessment, model)
-    total = sum(entry.gap for entry in assessment.gaps.values())
-    return _floor_score(total, len(model.ids))
+    return _floor_score(assessment, model.sub_characteristics)
 
 
 def characteristic_scores(
@@ -126,12 +133,16 @@ def characteristic_scores(
     one characteristic; these are the radar chart axis values.
     """
     check_gaps_total(assessment, model)
-    scores: dict[Characteristic, int] = {}
-    for characteristic in model.characteristics:
-        rows = model.rows_of(characteristic)
-        total = sum(assessment.gap(sub.id) for sub in rows)
-        scores[characteristic] = _floor_score(total, len(rows))
-    return scores
+    return _characteristic_scores(assessment, model)
+
+
+def first_violated_levels(assessment: Assessment, model: QualityModel) -> dict[str, int]:
+    """Per attribute, the lowest level whose demand its gap violates, or 6
+    when it violates none. Raises `GapFileError` unless the assessment
+    covers the model exactly."""
+    check_gaps_total(assessment, model)
+    table = model._first_violated
+    return {sub_id: table[sub_id][entry.gap] for sub_id, entry in assessment.gaps.items()}
 
 
 def satisfies_level(assessment: Assessment, level: int, model: QualityModel) -> bool:
@@ -139,11 +150,7 @@ def satisfies_level(assessment: Assessment, level: int, model: QualityModel) -> 
     on it."""
     if level not in LEVELS:
         raise ValueError(f"level must be in 1..5, got {level}")
-    first_violated = model._first_violated
-    return all(
-        first_violated[sub_id][entry.gap] > level
-        for sub_id, entry in assessment.gaps.items()
-    )
+    return maturity_level(assessment, model) >= level
 
 
 def maturity_level(assessment: Assessment, model: QualityModel) -> int:
@@ -153,11 +160,7 @@ def maturity_level(assessment: Assessment, model: QualityModel) -> int:
     matrix rows are non-decreasing, so every level below that one is
     satisfied too.
     """
-    check_gaps_total(assessment, model)
-    first_violated = model._first_violated
-    return min(
-        first_violated[sub_id][entry.gap] for sub_id, entry in assessment.gaps.items()
-    ) - 1
+    return min(first_violated_levels(assessment, model).values()) - 1
 
 
 def determine_criticality(usage: SystemUsage, fleet: FleetStats) -> BusinessCriticality:
@@ -225,24 +228,24 @@ def classify_gaps(
     a level above `required`, yellow. No gap first violates a level at or
     below M, by the definition of maturity.
     """
+    levels = first_violated_levels(assessment, model)
+    return _colors(levels, min(levels.values()), required)
+
+
+def _colors(levels: dict[str, int], next_level: int, required: int) -> dict[str, GapColor]:
     if required not in _REQUIRED_LEVELS:
         raise ValueError(
             "required maturity must be one of "
             f"{', '.join(map(str, _REQUIRED_LEVELS))}, got {required}"
         )
-    next_level = maturity_level(assessment, model) + 1
-    first_violated = model._first_violated
     colors: dict[str, GapColor] = {}
-    for sub_id, entry in assessment.gaps.items():
-        level = first_violated[sub_id][entry.gap]
+    for sub_id, level in levels.items():
         if level > LEVELS[-1]:
             colors[sub_id] = GapColor.GREEN
         elif level == next_level:
             colors[sub_id] = GapColor.RED
-        elif level <= required:
-            colors[sub_id] = GapColor.ORANGE
         else:
-            colors[sub_id] = GapColor.YELLOW
+            colors[sub_id] = GapColor.ORANGE if level <= required else GapColor.YELLOW
     return colors
 
 
@@ -278,12 +281,14 @@ def evaluate(assessment: Assessment, model: QualityModel) -> AssessmentResult:
     if assessment.criticality is None:
         raise ValueError("assessment has no business criticality attached")
     required = required_maturity(assessment.criticality)
-    colors = classify_gaps(assessment, model, required)
+    levels = first_violated_levels(assessment, model)
+    maturity = min(levels.values()) - 1
+    colors = _colors(levels, maturity + 1, required)
     return AssessmentResult(
         assessment=assessment,
-        quality_score=quality_score(assessment, model),
-        characteristic_scores=characteristic_scores(assessment, model),
-        maturity=maturity_level(assessment, model),
+        quality_score=_floor_score(assessment, model.sub_characteristics),
+        characteristic_scores=_characteristic_scores(assessment, model),
+        maturity=maturity,
         required_maturity=required,
         colors=colors,
         recommendations=recommendations(assessment, colors, model),

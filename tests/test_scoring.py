@@ -7,13 +7,16 @@ paths can disagree if either is wrong.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlquality.scoring
 from conftest import make_assessment
+from mlquality.errors import GapFileError
 from mlquality.model import Characteristic, Gap, default_model
 from mlquality.scoring import (
     BusinessCriticality,
@@ -349,3 +352,40 @@ def test_level_error_messages_are_pinned(model):
         ValueError, match=r"^required maturity must be one of 1, 3, 5, got 2$"
     ):
         classify_gaps(make_assessment(model), model, required=2)
+
+
+def test_evaluate_checks_totality_once(model, monkeypatch):
+    calls = []
+    real = mlquality.scoring.check_gaps_total
+    monkeypatch.setattr(
+        mlquality.scoring,
+        "check_gaps_total",
+        lambda assessment, model: calls.append(1) or real(assessment, model),
+    )
+    evaluate(make_assessment(model, {"monitoring": Gap.SMALL}), model)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "ladder_call",
+    [
+        lambda assessment, model: maturity_level(assessment, model),
+        lambda assessment, model: satisfies_level(assessment, 1, model),
+        lambda assessment, model: classify_gaps(assessment, model, 5),
+        lambda assessment, model: evaluate(assessment, model),
+        lambda assessment, model: quality_score(assessment, model),
+        lambda assessment, model: characteristic_scores(assessment, model),
+    ],
+    ids=[
+        "maturity_level", "satisfies_level", "classify_gaps",
+        "evaluate", "quality_score", "characteristic_scores",
+    ],
+)
+def test_ladder_functions_reject_an_assessment_missing_an_attribute(model, ladder_call):
+    complete = make_assessment(model)
+    partial = replace(
+        complete,
+        gaps={sub_id: entry for sub_id, entry in complete.gaps.items() if sub_id != "monitoring"},
+    )
+    with pytest.raises(GapFileError, match=r"^missing sub-characteristic: monitoring$"):
+        ladder_call(partial, model)
