@@ -142,6 +142,14 @@ _NONNEGATIVE_FIELDS = (
 )
 _COUNT_FIELDS = ("requests_per_day", "dependent_consumers")
 _TEXT_FIELDS = ("system_id", "team", "owner_team")
+# YAML reads integers of thousands of digits: a message quotes at most this
+# many characters of a value
+_QUOTE_LIMIT = 40
+
+
+def _quoted(value) -> str:
+    text = repr(value)
+    return text if len(text) <= _QUOTE_LIMIT else f"{text[:_QUOTE_LIMIT - 3]}..."
 
 
 def check_field(name: str, value, problems: list[str], where: str) -> bool:
@@ -154,36 +162,36 @@ def check_field(name: str, value, problems: list[str], where: str) -> bool:
         if value not in _ENUM_FIELDS[name]:
             problems.append(
                 f"{where}: {name} must be one of {', '.join(_ENUM_FIELDS[name])}, "
-                f"got {value!r}"
+                f"got {_quoted(value)}"
             )
             return False
         return True
     if name in _TEXT_FIELDS:
         if not isinstance(value, str) or not value.strip():
-            problems.append(f"{where}: {name} must be non-empty text, got {value!r}")
+            problems.append(f"{where}: {name} must be non-empty text, got {_quoted(value)}")
             return False
         return True
     if name in _FRACTION_FIELDS or name in _NONNEGATIVE_FIELDS:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"{where}: {name} must be a number, got {value!r}")
+            problems.append(f"{where}: {name} must be a number, got {_quoted(value)}")
             return False
         # unlike math.isfinite, also refuses an integer too large for a float
         if not abs(value) <= sys.float_info.max:
-            problems.append(f"{where}: {name} must be a finite number, got {value!r}")
+            problems.append(f"{where}: {name} must be a finite number, got {_quoted(value)}")
             return False
         if value < 0:
-            problems.append(f"{where}: {name} must be >= 0, got {value!r}")
+            problems.append(f"{where}: {name} must be >= 0, got {_quoted(value)}")
             return False
         if name in _FRACTION_FIELDS and value > 1:
-            problems.append(f"{where}: {name} must be within 0..1, got {value!r}")
+            problems.append(f"{where}: {name} must be within 0..1, got {_quoted(value)}")
             return False
         if name in _COUNT_FIELDS and value != int(value):
-            problems.append(f"{where}: {name} must be an integer, got {value!r}")
+            problems.append(f"{where}: {name} must be an integer, got {_quoted(value)}")
             return False
         return True
     # remaining fields are booleans
     if not isinstance(value, bool):
-        problems.append(f"{where}: {name} must be a boolean, got {value!r}")
+        problems.append(f"{where}: {name} must be a boolean, got {_quoted(value)}")
         return False
     return True
 
@@ -202,7 +210,7 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
     if document.get("schema_version") != SCHEMA_VERSION:
         raise SnapshotError(
             f"snapshot must declare schema_version: {SCHEMA_VERSION}, "
-            f"got {document.get('schema_version')!r}"
+            f"got {_quoted(document.get('schema_version'))}"
         )
     for key in sorted(set(document) - {"schema_version", "snapshot_date", "systems"}):
         logger.warning("snapshot: ignoring unknown top-level field %r", key)
@@ -213,12 +221,12 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
             snapshot_date = dt.date.fromisoformat(snapshot_date)
         except ValueError as exc:
             raise SnapshotError(
-                f"snapshot_date must be a date, got {snapshot_date!r}"
+                f"snapshot_date must be a date, got {_quoted(snapshot_date)}"
             ) from exc
     elif isinstance(snapshot_date, dt.datetime):
         snapshot_date = snapshot_date.date()
     elif snapshot_date is not None and not isinstance(snapshot_date, dt.date):
-        raise SnapshotError(f"snapshot_date must be a date, got {snapshot_date!r}")
+        raise SnapshotError(f"snapshot_date must be a date, got {_quoted(snapshot_date)}")
 
     entries = document.get("systems")
     if not isinstance(entries, list):
@@ -622,7 +630,7 @@ def _parse_overrides_entry(raw: dict, where: str, problems: list[str]) -> Manual
         if value is not None and value not in FULFILLMENT_VALUES:
             problems.append(
                 f"{where}: {name} must be one of {', '.join(FULFILLMENT_VALUES)}, "
-                f"got {value!r}"
+                f"got {_quoted(value)}"
             )
     extra: dict[str, GapEntry] = {}
     raw_extra = raw.get("extra") or {}
@@ -643,7 +651,7 @@ def _parse_overrides_entry(raw: dict, where: str, problems: list[str]) -> Manual
         # an unquoted `gap: no` reads as the boolean false
         gap = Gap.NO_GAP if token is False else GAP_ALIASES.get(str(token).lower())
         if gap is None:
-            problems.append(f"{where}: extra.{sub_id}: malformed gap token {pinned['gap']!r}")
+            problems.append(f"{where}: extra.{sub_id}: malformed gap token {_quoted(token)}")
             continue
         extra[sub_id] = GapEntry(gap=gap, reason=str(pinned.get("reason", "")))
     for key in sorted(set(raw) - {"readability", "modularity", "extra"}):

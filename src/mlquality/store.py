@@ -35,7 +35,7 @@ from typing import Iterator
 
 from .assessment import Assessment, GapEntry, serialize_assessment
 from .errors import StoreError
-from .model import GAP_ALIASES, Characteristic, Gap, QualityModel
+from .model import GAP_ALIASES, LEVELS, Characteristic, Gap, QualityModel
 from .report import render_report
 from .scoring import (
     AssessmentResult,
@@ -144,10 +144,10 @@ def _text(mapping: dict, key: str) -> str:
     return value
 
 
-def _score(mapping: dict, key: str) -> int:
+def _bounded(mapping: dict, key: str, top: int) -> int:
     value = int(mapping[key])
-    if not 0 <= value <= 100:
-        raise ValueError(f"{key} {value} is not in 0..100")
+    if not 0 <= value <= top:
+        raise ValueError(f"{key} {value} is not in 0..{top}")
     return value
 
 
@@ -173,9 +173,14 @@ def _result_from_payload(payload: dict) -> AssessmentResult:
         differ = sorted(colors.keys() ^ gaps.keys())
         raise ValueError(f"colors and gaps name different attributes: {', '.join(differ)}")
     rows = payload["characteristic_scores"]
-    scores = {Characteristic(row["characteristic"]): _score(row, "score") for row in rows}
+    scores = {Characteristic(row["characteristic"]): _bounded(row, "score", 100) for row in rows}
     if len(scores) != len(rows) or len(scores) != len(Characteristic):
         raise ValueError("characteristic_scores must name each characteristic once")
+    required = int(payload["required_maturity"])
+    if required != criticality.level:
+        raise ValueError(
+            f"required_maturity {required} is not the criticality level {int(criticality.level)}"
+        )
     assessment = Assessment(
         team=_text(identity, "team"),
         system_id=_text(identity, "system"),
@@ -186,10 +191,10 @@ def _result_from_payload(payload: dict) -> AssessmentResult:
     )
     return AssessmentResult(
         assessment=assessment,
-        quality_score=_score(payload, "quality_score"),
+        quality_score=_bounded(payload, "quality_score", 100),
         characteristic_scores=scores,
-        maturity=int(payload["maturity"]),
-        required_maturity=int(payload["required_maturity"]),
+        maturity=_bounded(payload, "maturity", LEVELS[-1]),
+        required_maturity=required,
         colors=colors,
         recommendations=tuple(
             Recommendation(
@@ -387,8 +392,8 @@ def _readable_snapshots(
                 team=_text(identity, "team"),
                 system=_text(identity, "system"),
                 date=dt.date.fromisoformat(identity["date"]),
-                quality_score=_score(payload, "quality_score"),
-                maturity=int(payload["maturity"]),
+                quality_score=_bounded(payload, "quality_score", 100),
+                maturity=_bounded(payload, "maturity", LEVELS[-1]),
             )
         except (StoreError, KeyError, TypeError, ValueError, OverflowError) as exc:
             logger.warning("skipping corrupted snapshot %s: %s", path, exc)

@@ -402,6 +402,25 @@ def test_assess_rejects_malformed_usage(
     assert f"usage file {usage}: {message}" in capsys.readouterr().err
 
 
+def test_a_huge_integer_is_quoted_in_a_short_message(tmp_path, gaps_csv, registry, capsys):
+    huge = str(10**400)
+    huge_registry = tmp_path / "huge.yaml"
+    huge_registry.write_text(REGISTRY_YAML.replace("day: 100\n", f"day: {huge}\n"))
+    usage = tmp_path / "usage.yaml"
+    usage.write_text(f"in_production: true\nrequests_per_day: {huge}\n")
+    for args, where in (
+        (["infer", "--registry", str(huge_registry)], "systems[1]"),
+        (["assess", "--gaps", str(gaps_csv), "--team", "t", "--system", "s",
+          "--date", "2026-01-05", "--usage", str(usage), "--fleet", str(registry)],
+         f"usage file {usage}"),
+    ):
+        capsys.readouterr()
+        assert main([*args, "--store", str(tmp_path / "store")]) == 1
+        (message,) = capsys.readouterr().err.splitlines()
+        assert f"{where}: requests_per_day must be a finite number, got 1000" in message
+        assert len(message) < 200
+
+
 def test_infer_rejects_impossible_snapshot_date(tmp_path, capsys):
     registry = tmp_path / "snapshot.yaml"
     registry.write_text(REGISTRY_YAML.replace("2026-07-01", "2026-13-01"))
@@ -558,6 +577,16 @@ MALFORMED_EDITS = [
         "TypeError: team must be text, not int",
         id="numeric team",
     ),
+    pytest.param(
+        lambda payload: {**payload, "maturity": 6},
+        "ValueError: maturity 6 is not in 0..5",
+        id="maturity above the ladder",
+    ),
+    pytest.param(
+        lambda payload: {**payload, "required_maturity": 2},
+        "ValueError: required_maturity 2 is not the criticality level ",
+        id="required maturity off the ladder",
+    ),
 ]
 HISTORY_READABLE = {
     "gap token",
@@ -567,6 +596,7 @@ HISTORY_READABLE = {
     "missing characteristic",
     "numeric reason",
     "numeric justification",
+    "required maturity off the ladder",
 }
 
 
