@@ -151,9 +151,22 @@ def _bounded(mapping: dict, key: str, top: int) -> int:
     return value
 
 
-def _result_from_payload(payload: dict) -> AssessmentResult:
+def _history_row(payload: dict) -> HistoryRow:
+    """The five fields `mlq history` lists, decoded and checked: the only
+    reader of a snapshot's identity, date, score and maturity."""
     identity = payload["identity"]
-    family = identity["family_members"]
+    return HistoryRow(
+        team=_text(identity, "team"),
+        system=_text(identity, "system"),
+        date=dt.date.fromisoformat(identity["date"]),
+        quality_score=_bounded(payload, "quality_score", 100),
+        maturity=_bounded(payload, "maturity", LEVELS[-1]),
+    )
+
+
+def _result_from_payload(payload: dict) -> AssessmentResult:
+    row = _history_row(payload)
+    family = payload["identity"]["family_members"]
     if not isinstance(family, list) or not all(isinstance(name, str) for name in family):
         raise TypeError("family_members must be a list of text")
     criticality = BusinessCriticality(
@@ -182,18 +195,18 @@ def _result_from_payload(payload: dict) -> AssessmentResult:
             f"required_maturity {required} is not the criticality level {int(criticality.level)}"
         )
     assessment = Assessment(
-        team=_text(identity, "team"),
-        system_id=_text(identity, "system"),
-        date=dt.date.fromisoformat(identity["date"]),
+        team=row.team,
+        system_id=row.system,
+        date=row.date,
         gaps=gaps,
         family_members=tuple(family),
         criticality=criticality,
     )
     return AssessmentResult(
         assessment=assessment,
-        quality_score=_bounded(payload, "quality_score", 100),
+        quality_score=row.quality_score,
         characteristic_scores=scores,
-        maturity=_bounded(payload, "maturity", LEVELS[-1]),
+        maturity=row.maturity,
         required_maturity=required,
         colors=colors,
         recommendations=tuple(
@@ -242,14 +255,14 @@ def check_identity(root: str | Path, assessment: Assessment) -> None:
     such as `a b` and `a_b`, share a directory; a snapshot already in the
     target date directory that records another identity is refused rather
     than replaced. A snapshot that cannot be read records no identity and
-    may be replaced. Costs one stat when the directory holds no snapshot.
+    may be replaced. Costs one failed open when the directory holds no snapshot.
     """
-    snapshot = Path(snapshot_path(root, assessment.team, assessment.system_id, assessment.date))
-    if not snapshot.is_file():
-        return
+    snapshot = snapshot_path(root, assessment.team, assessment.system_id, assessment.date)
     try:
-        identity = _read_snapshot(snapshot)["identity"]
-        stored = (identity["team"], identity["system"])
+        payload = _read_snapshot(snapshot, absent_ok=True)
+        if payload is None:
+            return
+        stored = (payload["identity"]["team"], payload["identity"]["system"])
     except (StoreError, KeyError, TypeError):
         return
     if stored != (assessment.team, assessment.system_id):
@@ -387,14 +400,7 @@ def _readable_snapshots(
             payload = _read_snapshot(path, absent_ok=True)
             if payload is None:
                 continue
-            identity = payload["identity"]
-            row = HistoryRow(
-                team=_text(identity, "team"),
-                system=_text(identity, "system"),
-                date=dt.date.fromisoformat(identity["date"]),
-                quality_score=_bounded(payload, "quality_score", 100),
-                maturity=_bounded(payload, "maturity", LEVELS[-1]),
-            )
+            row = _history_row(payload)
         except (StoreError, KeyError, TypeError, ValueError, OverflowError) as exc:
             logger.warning("skipping corrupted snapshot %s: %s", path, exc)
             continue
@@ -418,17 +424,16 @@ def load_assessment(
     recorded in the snapshot; a mismatch logs a warning but still loads,
     since the snapshot is self-contained.
     """
-    system_dir = Path(root) / sanitize_component(team) / sanitize_component(system)
     if date is None:
         # one directory, as team and system are both given; newest first
         ((directory, dates),) = _system_directories(root, team, system)
-        found = (Path(directory, name, SNAPSHOT_FILE) for name in reversed(dates))
-        snapshot = next((path for path in found if path.exists()), None)
+        found = (os.path.join(directory, name, SNAPSHOT_FILE) for name in reversed(dates))
+        snapshot = next((path for path in found if os.path.exists(path)), None)
         if snapshot is None:
-            raise StoreError(f"not found: no assessments under {system_dir}")
+            raise StoreError(f"not found: no assessments under {directory}")
     else:
-        snapshot = system_dir / date.isoformat() / SNAPSHOT_FILE
-    if not snapshot.is_file():
+        snapshot = snapshot_path(root, team, system, date)
+    if not os.path.isfile(snapshot):
         raise StoreError(f"not found: {snapshot}")
     payload = _read_snapshot(snapshot)
     if model is not None:
