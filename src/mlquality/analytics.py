@@ -17,7 +17,7 @@ from .errors import CohortError
 from .model import LEVELS
 from .percentiles import nearest_rank
 from .scoring import AssessmentResult
-from .store import GapMask, HistoryRow, no_gap_mask
+from .store import GapMask, HistoryRow, attribute_differences, no_gap_mask
 
 
 @dataclass(frozen=True)
@@ -116,15 +116,9 @@ def compliance_from_masks(
         if member_order in agreeing:
             continue
         if set(member_order) != position.keys():
-            missing = [sub_id for sub_id in order if sub_id not in member_order]
-            extra = [sub_id for sub_id in member_order if sub_id not in position]
-            differences = "; ".join(
-                f"{label} {', '.join(ids)}"
-                for label, ids in (("lacks", missing), ("adds", extra))
-                if ids
-            )
             raise CohortError(
-                f"{name} does not assess the same attributes as {names[0]}: {differences}"
+                f"{name} does not assess the same attributes as {names[0]}: "
+                + attribute_differences(order, member_order)
             )
         agreeing.add(member_order)
 

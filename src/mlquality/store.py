@@ -31,11 +31,11 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Collection, Iterator, Sequence
 
 from .assessment import Assessment, GapEntry, serialize_assessment
 from .errors import StoreError
-from .model import GAP_ALIASES, LEVELS, Characteristic, Gap, QualityModel
+from .model import LEVELS, Characteristic, Gap, QualityModel
 from .report import render_report
 from .scoring import (
     AssessmentResult,
@@ -144,69 +144,103 @@ def _text(mapping: dict, key: str) -> str:
     return value
 
 
+def _integer(mapping: dict, key: str) -> int:
+    value = mapping[key]
+    int(value)  # an infinity raises OverflowError before the type test
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
+    return value
+
+
 def _bounded(mapping: dict, key: str, top: int) -> int:
-    value = int(mapping[key])
+    value = _integer(mapping, key)
     if not 0 <= value <= top:
         raise ValueError(f"{key} {value} is not in 0..{top}")
     return value
+
+
+def _rows(payload: dict, key: str) -> list:
+    rows = payload[key]
+    if not isinstance(rows, list):
+        raise TypeError(f"{key} must be a list, not {type(rows).__name__}")
+    return rows
+
+
+def _by_attribute(payload: dict, key: str, decode) -> dict:
+    """`decode` of each row of the list `payload[key]`, by the attribute it
+    names; each attribute once, and at least one."""
+    rows = _rows(payload, key)
+    decoded = {_text(row, "sub_characteristic"): decode(row) for row in rows}
+    if not decoded or len(decoded) != len(rows):
+        raise ValueError(f"{key} must name at least one attribute, each once")
+    return decoded
+
+
+_GAPS = {gap.token: gap for gap in Gap}
 
 
 def _history_row(payload: dict) -> HistoryRow:
     """The five fields `mlq history` lists, decoded and checked: the only
     reader of a snapshot's identity, date, score and maturity."""
     identity = payload["identity"]
-    return HistoryRow(
+    row = HistoryRow(
         team=_text(identity, "team"),
         system=_text(identity, "system"),
         date=dt.date.fromisoformat(identity["date"]),
         quality_score=_bounded(payload, "quality_score", 100),
         maturity=_bounded(payload, "maturity", LEVELS[-1]),
     )
+    if row.date.isoformat() != identity["date"]:
+        raise ValueError(f"date {identity['date']!r} is not written as YYYY-MM-DD")
+    return row
 
 
 def _result_from_payload(payload: dict) -> AssessmentResult:
-    row = _history_row(payload)
+    listed = _history_row(payload)
     family = payload["identity"]["family_members"]
     if not isinstance(family, list) or not all(isinstance(name, str) for name in family):
         raise TypeError("family_members must be a list of text")
+    if not family:
+        raise ValueError("family_members must name at least one system")
     criticality = BusinessCriticality(
-        level=CriticalityLevel(payload["criticality"]["level"]),
+        level=CriticalityLevel(_integer(payload["criticality"], "level")),
         justification=_text(payload["criticality"], "justification"),
     )
-    gaps = {
-        _text(row, "sub_characteristic"): GapEntry(
-            gap=GAP_ALIASES[row["gap"]], reason=_text(row, "reason")
-        )
-        for row in payload["gaps"]
-    }
-    colors = {
-        _text(row, "sub_characteristic"): GapColor(row["color"]) for row in payload["colors"]
-    }
+    gaps = _by_attribute(
+        payload, "gaps", lambda row: GapEntry(gap=_GAPS[row["gap"]], reason=_text(row, "reason"))
+    )
+    colors = _by_attribute(payload, "colors", lambda row: GapColor(row["color"]))
     if colors.keys() != gaps.keys():
         differ = sorted(colors.keys() ^ gaps.keys())
         raise ValueError(f"colors and gaps name different attributes: {', '.join(differ)}")
-    rows = payload["characteristic_scores"]
+    # maturity is 5 exactly when every color is green, and below 5 exactly
+    # when a color is red: the red ones block the next level
+    shades, top = set(colors.values()), listed.maturity == LEVELS[-1]
+    if (shades == {GapColor.GREEN}) != top or (GapColor.RED in shades) == top:
+        needs = "every color green" if top else "a red color"
+        raise ValueError(f"maturity {listed.maturity} needs {needs}")
+    rows = _rows(payload, "characteristic_scores")
     scores = {Characteristic(row["characteristic"]): _bounded(row, "score", 100) for row in rows}
     if len(scores) != len(rows) or len(scores) != len(Characteristic):
         raise ValueError("characteristic_scores must name each characteristic once")
-    required = int(payload["required_maturity"])
+    required = _integer(payload, "required_maturity")
     if required != criticality.level:
         raise ValueError(
             f"required_maturity {required} is not the criticality level {int(criticality.level)}"
         )
     assessment = Assessment(
-        team=row.team,
-        system_id=row.system,
-        date=row.date,
+        team=listed.team,
+        system_id=listed.system,
+        date=listed.date,
         gaps=gaps,
         family_members=tuple(family),
         criticality=criticality,
     )
     return AssessmentResult(
         assessment=assessment,
-        quality_score=row.quality_score,
+        quality_score=listed.quality_score,
         characteristic_scores=scores,
-        maturity=row.maturity,
+        maturity=listed.maturity,
         required_maturity=required,
         colors=colors,
         recommendations=tuple(
@@ -215,7 +249,7 @@ def _result_from_payload(payload: dict) -> AssessmentResult:
                 reason=_text(row, "reason"),
                 remediation=_text(row, "remediation"),
             )
-            for row in payload["recommendations"]
+            for row in _rows(payload, "recommendations")
         ),
     )
 
@@ -327,7 +361,8 @@ def _read_snapshot(path: str | Path, absent_ok: bool = False) -> dict | None:
         raise StoreError(f"unreadable snapshot {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise StoreError(f"unreadable snapshot {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("snapshot_version") != SNAPSHOT_VERSION:
+    version = payload.get("snapshot_version") if isinstance(payload, dict) else None
+    if type(version) is not int or version != SNAPSHOT_VERSION:
         raise StoreError(f"unsupported snapshot version in {path}")
     return payload
 
@@ -422,7 +457,8 @@ def load_assessment(
 
     When a model is supplied its fingerprint is compared against the one
     recorded in the snapshot; a mismatch logs a warning but still loads,
-    since the snapshot is self-contained.
+    since the snapshot is self-contained. A snapshot that does not assess
+    exactly the model's attributes raises StoreError.
     """
     if date is None:
         # one directory, as team and system are both given; newest first
@@ -447,7 +483,23 @@ def load_assessment(
                 recorded,
                 current,
             )
-    return _checked_result(snapshot, payload)
+    result = _checked_result(snapshot, payload)
+    if model is not None and set(result.colors) != set(model.ids):
+        raise StoreError(
+            f"{snapshot} does not assess the attributes of the given model: "
+            + attribute_differences(model.ids, result.colors)
+        )
+    return result
+
+
+def attribute_differences(expected: Sequence[str], found: Collection[str]) -> str:
+    """The attribute ids `found` lacks and adds against `expected`, in the
+    order of each, as `lacks a, b; adds c`."""
+    missing = [sub_id for sub_id in expected if sub_id not in found]
+    extra = [sub_id for sub_id in found if sub_id not in expected]
+    return "; ".join(
+        f"{label} {', '.join(ids)}" for label, ids in (("lacks", missing), ("adds", extra)) if ids
+    )
 
 
 def _checked_result(snapshot: str | Path, payload: dict) -> AssessmentResult:

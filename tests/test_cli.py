@@ -587,6 +587,101 @@ MALFORMED_EDITS = [
         "ValueError: required_maturity 2 is not the criticality level ",
         id="required maturity off the ladder",
     ),
+    # stored numbers are JSON integers: no text, float or bool passes for one
+    pytest.param(
+        lambda payload: {**payload, "maturity": str(payload["maturity"])},
+        "TypeError: maturity must be an integer, not str",
+        id="maturity as text",
+    ),
+    pytest.param(
+        lambda payload: {**payload, "maturity": payload["maturity"] == 1},
+        "TypeError: maturity must be an integer, not bool",
+        id="maturity as bool",
+    ),
+    pytest.param(
+        lambda payload: {**payload, "quality_score": payload["quality_score"] + 0.9},
+        "TypeError: quality_score must be an integer, not float",
+        id="fractional score",
+    ),
+    pytest.param(
+        lambda payload: {**payload, "required_maturity": float(payload["required_maturity"])},
+        "TypeError: required_maturity must be an integer, not float",
+        id="required maturity as float",
+    ),
+    pytest.param(
+        lambda payload: {
+            **payload,
+            "criticality": {
+                **payload["criticality"], "level": str(payload["criticality"]["level"])
+            },
+        },
+        "TypeError: level must be an integer, not str",
+        id="criticality level as text",
+    ),
+    pytest.param(
+        lambda payload: {
+            **payload,
+            "characteristic_scores": [
+                {**row, "score": row["score"] + 0.5} for row in payload["characteristic_scores"]
+            ],
+        },
+        "TypeError: score must be an integer, not float",
+        id="fractional characteristic score",
+    ),
+    # each stored list is a list, and names each attribute once
+    pytest.param(
+        lambda payload: {
+            **payload,
+            "gaps": [*payload["gaps"], {**payload["gaps"][0], "gap": "large", "reason": "again"}],
+        },
+        "ValueError: gaps must name at least one attribute, each once",
+        id="duplicated gap row",
+    ),
+    pytest.param(
+        lambda payload: {**payload, "gaps": [], "colors": []},
+        "ValueError: gaps must name at least one attribute, each once",
+        id="no gaps or colors",
+    ),
+    pytest.param(
+        lambda payload: {**payload, "recommendations": {}},
+        "TypeError: recommendations must be a list, not dict",
+        id="recommendations mapping",
+    ),
+    pytest.param(
+        lambda payload: {**payload, "identity": {**payload["identity"], "family_members": []}},
+        "ValueError: family_members must name at least one system",
+        id="no family members",
+    ),
+    # maturity 5 exactly when every color is green, a red color exactly below it
+    pytest.param(
+        lambda payload: {**payload, "maturity": 5},
+        "ValueError: maturity 5 needs every color green",
+        id="maturity 5 with gaps",
+    ),
+    pytest.param(
+        lambda payload: {
+            **payload,
+            "colors": [
+                {**row, "color": "orange" if row["color"] == "red" else row["color"]}
+                for row in payload["colors"]
+            ],
+        },
+        "ValueError: maturity 1 needs a red color",
+        id="maturity below 5 without red",
+    ),
+    # a snapshot is read back as written: canonical gap tokens and dates only
+    pytest.param(
+        lambda payload: {**payload, "gaps": [{**row, "gap": "1"} for row in payload["gaps"]]},
+        "KeyError: '1'",
+        id="gap alias",
+    ),
+    pytest.param(
+        lambda payload: {
+            **payload, "identity": {**payload["identity"], "date": "20260701"}
+        },
+        "ValueError:",
+        id="basic date format",
+    ),
 ]
 HISTORY_READABLE = {
     "gap token",
@@ -597,6 +692,16 @@ HISTORY_READABLE = {
     "numeric reason",
     "numeric justification",
     "required maturity off the ladder",
+    "required maturity as float",
+    "criticality level as text",
+    "fractional characteristic score",
+    "duplicated gap row",
+    "no gaps or colors",
+    "recommendations mapping",
+    "no family members",
+    "maturity 5 with gaps",
+    "maturity below 5 without red",
+    "gap alias",
 }
 
 
@@ -611,6 +716,50 @@ def test_report_on_malformed_snapshot_exits_1(tmp_path, registry, capsys, edit, 
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"malformed snapshot {snapshot}: {message}")
+
+
+@pytest.mark.parametrize(
+    "edit, difference",
+    [
+        (
+            lambda rows: [row for row in rows if row["sub_characteristic"] != "accuracy"],
+            "lacks accuracy",
+        ),
+        (
+            lambda rows: [*rows, {**rows[-1], "sub_characteristic": "speed"}],
+            "adds speed",
+        ),
+    ],
+    ids=["lacks", "adds"],
+)
+def test_report_with_a_model_the_snapshot_does_not_cover_exits_1(
+    tmp_path, registry, capsys, edit, difference
+):
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+    snapshot = store / "search" / "ranker" / "2026-07-01" / "snapshot.json"
+    _mutate_snapshot(
+        snapshot,
+        lambda payload: {**payload, **{key: edit(payload[key]) for key in ("gaps", "colors")}},
+    )
+    model = tmp_path / "model.yaml"
+    model.write_text("sub_characteristics: {testability: {remediation: Other text}}\n")
+    out = tmp_path / "report.html"
+    capsys.readouterr()
+    code = main([
+        "report", "--store", str(store), "--team", "search", "--system", "ranker",
+        "--model", str(model), "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"{snapshot} does not assess the attributes of the given model: {difference}\n"
+    )
+    assert not out.exists()
+    # without the model the snapshot still renders
+    assert main([
+        "report", "--store", str(store), "--team", "search", "--system", "ranker",
+        "--out", str(out),
+    ]) == 0
 
 
 def _reference_fleet(store, before, after):

@@ -147,6 +147,7 @@ def store_template(tmp_path_factory):
 LEAVES = [None, True, 0, 7, -1, 1.5, 10**30, 10**400, "", "x", "2026-07-01", [], {}]
 STORE_COMMANDS = [
     ["report", "--team", "search", "--system", "ranker"],
+    ["report", "--team", "search", "--system", "ranker", "--model", "{d}/model.yaml"],
     ["history"],
     ["history", "--team", "search", "--system", "ranker"],
     ["fleet", "--out", "{d}/fleet", "--before", "2026-07-01", "--after", "2026-06-01"],
@@ -196,5 +197,6 @@ def test_no_command_raises_on_an_edited_snapshot(store_template, path, operation
         snapshot = store / "search" / "ranker" / "2026-07-01" / "snapshot.json"
         payload = _edit_json(json.loads(snapshot.read_text()), path, operation, leaf)
         snapshot.write_text(json.dumps(payload))
+        Path(directory, "model.yaml").write_text(INPUTS["model.yaml"])
         for argv in STORE_COMMANDS:
             _run([arg.format(d=directory) for arg in argv] + ["--store", str(store)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import copy
 import datetime as dt
 import errno
 import io
@@ -13,15 +14,16 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mlquality.store as store
 from conftest import DATE, make_assessment
+from test_cli_fuzz import LEAVES, _edit_json
 from mlquality.errors import StoreError
 from mlquality.model import Gap, default_model, load_quality_model
 from mlquality.report import render_report
-from mlquality.scoring import evaluate
+from mlquality.scoring import GapColor, evaluate
 from mlquality.store import (
     HistoryRow,
     check_identity,
@@ -677,3 +679,91 @@ def test_store_walk_reads_exactly_what_the_glob_found(entries, team, system):
             except StoreError as exc:
                 latest = f"{type(exc).__name__}: {exc}"
             assert latest == _glob_latest(root, *named)
+
+
+@pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+def test_read_snapshot_takes_only_the_integer_version(tmp_path, version):
+    snapshot = tmp_path / store.SNAPSHOT_FILE
+    snapshot.write_text(f'{{"snapshot_version": {version}}}')
+    with pytest.raises(StoreError, match="unsupported snapshot version"):
+        store._read_snapshot(snapshot)
+
+
+ORACLE_MODEL = default_model()
+# no gap at all (maturity 5), and a gap of every color (maturity 1, required 3)
+ORACLE_PAYLOADS = [
+    store._snapshot_payload(
+        evaluate(make_assessment(ORACLE_MODEL, gaps, criticality_level=level), ORACLE_MODEL),
+        ORACLE_MODEL,
+    )
+    for gaps, level in (
+        (None, 5),
+        (
+            {
+                "maintainability": Gap.LARGE,
+                "usability": Gap.LARGE,
+                "scalability": Gap.LARGE,
+                "monitoring": Gap.SMALL,
+            },
+            3,
+        ),
+    )
+]
+# the JSON leaves of the snapshot fuzz test, and numbers and text that equal
+# a stored integer, gap token or date in Python but are not written so
+ORACLE_EDITS = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 30), min_size=1, max_size=4),
+        st.sampled_from(["drop", "swap"]),
+        st.sampled_from([*LEAVES, False, 3.0, "3", "1", "20260701"]),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+# top-level keys, sorted: characteristic_scores 0, colors 1, criticality 2,
+# gaps 3, identity 4, maturity 5, model_fingerprint 6, quality_score 7,
+# recommendations 8, required_maturity 9, snapshot_version 10
+@settings(max_examples=200, deadline=None)
+@given(which=st.integers(0, len(ORACLE_PAYLOADS) - 1), edits=ORACLE_EDITS)
+@example(which=1, edits=[([5], "swap", "3")])  # maturity as text
+@example(which=1, edits=[([5], "swap", True)])  # maturity as a bool
+@example(which=0, edits=[([7], "swap", 3.0)])  # a float score
+@example(which=0, edits=[([10], "swap", True)])  # a bool version
+@example(which=1, edits=[([9], "swap", 3.0)])  # a float required maturity
+@example(which=1, edits=[([2, 1], "swap", 3.0)])  # a float criticality level
+@example(which=0, edits=[([0, 0, 1], "swap", 3.0)])  # a float characteristic score
+@example(which=1, edits=[([8], "swap", {})])  # recommendations as a mapping
+@example(which=0, edits=[([4, 1], "swap", [])])  # no family members
+@example(which=0, edits=[([3], "swap", []), ([1], "swap", [])])  # no gaps, no colors
+@example(which=0, edits=[([5], "swap", 0)])  # maturity 0, every color green
+# maturity 1, its one red attribute dropped from gaps and colors
+@example(which=1, edits=[([3, 12], "drop", None), ([1, 12], "drop", None)])
+@example(which=0, edits=[([3, 0, 0], "swap", "1")])  # a gap alias
+@example(which=0, edits=[([4, 0], "swap", "20260701")])  # a date in basic format
+def test_every_snapshot_read_is_written_back_unchanged(which, edits):
+    """A payload `_result_from_payload` accepts is the one `_snapshot_payload`
+    writes for its result, model fingerprint aside, compared as JSON text
+    (`True == 1` in Python), and its maturity agrees with its colors."""
+    payload = copy.deepcopy(ORACLE_PAYLOADS[which])
+    for path, operation, leaf in edits:
+        payload = _edit_json(payload, path, operation, leaf)
+    with tempfile.TemporaryDirectory() as directory:
+        snapshot = Path(directory, store.SNAPSHOT_FILE)
+        snapshot.write_text(json.dumps(payload))
+        try:
+            payload = store._read_snapshot(snapshot)
+        except StoreError:
+            return  # refused by the version check
+    try:
+        result = store._result_from_payload(payload)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return  # `mlq report` exits 1 with `malformed snapshot`
+    written = store._snapshot_payload(result, ORACLE_MODEL)
+    for side in (written, payload):
+        side.pop("model_fingerprint", None)
+    assert json.dumps(written, sort_keys=True) == json.dumps(payload, sort_keys=True)
+    shades = set(result.colors.values())
+    assert (shades == {GapColor.GREEN}) == (result.maturity == 5)
+    assert (GapColor.RED in shades) == (result.maturity < 5)
