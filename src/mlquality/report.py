@@ -35,18 +35,12 @@ _CENTER_X = 230.0
 _CENTER_Y = 190.0
 _RADIUS = 130.0
 
-_SECTION_TITLES = {
-    GapColor.RED: "Gaps blocking the next maturity level",
-    GapColor.ORANGE: "Gaps blocking maturity levels up to the required one",
-    GapColor.YELLOW: "Gaps beyond the required maturity level",
-    GapColor.GREEN: "Fulfilled quality attributes",
-}
-
-_SECTION_CSS = {
-    GapColor.RED: "#c0392b",
-    GapColor.ORANGE: "#e67e22",
-    GapColor.YELLOW: "#b7950b",
-    GapColor.GREEN: "#1e8449",
+# per colour, the title and the CSS colour of its report section
+_SECTIONS = {
+    GapColor.RED: ("Gaps blocking the next maturity level", "#c0392b"),
+    GapColor.ORANGE: ("Gaps blocking maturity levels up to the required one", "#e67e22"),
+    GapColor.YELLOW: ("Gaps beyond the required maturity level", "#b7950b"),
+    GapColor.GREEN: ("Fulfilled quality attributes", "#1e8449"),
 }
 
 
@@ -192,7 +186,7 @@ def render_report(
     }
 
     sections = []
-    for color in GapColor:
+    for color, (title, css) in _SECTIONS.items():
         members = [
             sub_id for sub_id, c in result.colors.items() if c is color
         ]
@@ -210,8 +204,8 @@ def render_report(
             else '<p class="empty">None.</p>'
         )
         sections.append(
-            f'<section style="color: {_SECTION_CSS[color]}">'
-            f"<h2>{html.escape(_SECTION_TITLES[color])} ({len(members)})</h2>"
+            f'<section style="color: {css}">'
+            f"<h2>{html.escape(title)} ({len(members)})</h2>"
             f'<div style="color: #2c3e50">{body}</div>'
             "</section>"
         )
