@@ -176,7 +176,7 @@ def _by_attribute(payload: dict, key: str, decode) -> dict:
     return decoded
 
 
-_GAPS = {gap.token: gap for gap in Gap}
+_GAP_BY_TOKEN = {gap.token: gap for gap in Gap}
 
 
 def _history_row(payload: dict) -> HistoryRow:
@@ -207,7 +207,9 @@ def _result_from_payload(payload: dict) -> AssessmentResult:
         justification=_text(payload["criticality"], "justification"),
     )
     gaps = _by_attribute(
-        payload, "gaps", lambda row: GapEntry(gap=_GAPS[row["gap"]], reason=_text(row, "reason"))
+        payload,
+        "gaps",
+        lambda row: GapEntry(gap=_GAP_BY_TOKEN[row["gap"]], reason=_text(row, "reason")),
     )
     colors = _by_attribute(payload, "colors", lambda row: GapColor(row["color"]))
     if colors.keys() != gaps.keys():
@@ -215,8 +217,8 @@ def _result_from_payload(payload: dict) -> AssessmentResult:
         raise ValueError(f"colors and gaps name different attributes: {', '.join(differ)}")
     # maturity is 5 exactly when every color is green, and below 5 exactly
     # when a color is red: the red ones block the next level
-    shades, top = set(colors.values()), listed.maturity == LEVELS[-1]
-    if (shades == {GapColor.GREEN}) != top or (GapColor.RED in shades) == top:
+    shades, top = list(colors.values()), listed.maturity == LEVELS[-1]
+    if (shades.count(GapColor.GREEN) == len(shades)) != top or (GapColor.RED in shades) == top:
         needs = "every color green" if top else "a red color"
         raise ValueError(f"maturity {listed.maturity} needs {needs}")
     rows = _rows(payload, "characteristic_scores")
