@@ -181,7 +181,7 @@ _GAP_BY_TOKEN = {gap.token: gap for gap in Gap}
 
 def _history_row(payload: dict) -> HistoryRow:
     """The five fields `mlq history` lists, decoded and checked: the only
-    reader of a snapshot's identity, date, score and maturity."""
+    decoder of a snapshot's identity, date, score and maturity."""
     identity = payload["identity"]
     row = HistoryRow(
         team=_text(identity, "team"),
