@@ -42,7 +42,7 @@ from .errors import OverrideError, SnapshotError
 from .model import GAP_ALIASES, Gap, QualityModel
 from .percentiles import nearest_rank
 from .scoring import FleetStats, SystemUsage
-from .yamldoc import compose_yaml, load_yaml, read_text
+from .yamldoc import compose_yaml, load_yaml, load_yaml_records, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -204,7 +204,7 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
     are hard errors.
     """
     text = read_text(source, SnapshotError) if isinstance(source, Path) else source
-    document = load_yaml(text, SnapshotError)
+    document = load_yaml_records(text, "systems", SnapshotError)
     if not isinstance(document, dict):
         raise SnapshotError("snapshot document must be a mapping")
     if document.get("schema_version") != SCHEMA_VERSION:

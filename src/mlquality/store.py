@@ -137,6 +137,45 @@ def _snapshot_payload(result: AssessmentResult, model: QualityModel) -> dict:
     }
 
 
+# the keys `_snapshot_payload` writes: in the snapshot itself, in its two
+# nested mappings, and in each row of its four lists
+_WRITTEN_KEYS = {
+    "snapshot": frozenset({
+        "snapshot_version", "model_fingerprint", "identity", "criticality", "quality_score",
+        "maturity", "required_maturity", "characteristic_scores", "gaps", "colors",
+        "recommendations",
+    }),
+    "identity": frozenset({"team", "system", "family_members", "date"}),
+    "criticality": frozenset({"level", "justification"}),
+    "characteristic_scores": frozenset({"characteristic", "score"}),
+    "gaps": frozenset({"sub_characteristic", "gap", "reason"}),
+    "colors": frozenset({"sub_characteristic", "color"}),
+    "recommendations": frozenset({"sub_characteristic", "reason", "remediation"}),
+}
+
+
+def _only_written_keys(payload: dict) -> None:
+    """Refuse a payload holding a key `_snapshot_payload` does not write
+    there, naming where. Run once the rest is decoded: every nested mapping
+    and row then holds each key written there, so it holds another key
+    exactly when it holds more keys than that."""
+    if not payload.keys() <= _WRITTEN_KEYS["snapshot"]:
+        _refuse_keys(payload, "snapshot", _WRITTEN_KEYS["snapshot"])
+    for key in ("identity", "criticality"):
+        if len(payload[key]) > len(_WRITTEN_KEYS[key]):
+            _refuse_keys(payload[key], key, _WRITTEN_KEYS[key])
+    for key in ("characteristic_scores", "gaps", "colors", "recommendations"):
+        written = _WRITTEN_KEYS[key]
+        for index, row in enumerate(payload[key]):
+            if len(row) > len(written):
+                _refuse_keys(row, f"{key}[{index}]", written)
+
+
+def _refuse_keys(mapping: dict, where: str, written: frozenset[str]) -> None:
+    unknown = ", ".join(map(repr, sorted(mapping.keys() - written)))
+    raise ValueError(f"{where} holds keys the store does not write: {unknown}")
+
+
 def _text(mapping: dict, key: str) -> str:
     value = mapping[key]
     if not isinstance(value, str):
@@ -230,6 +269,15 @@ def _result_from_payload(payload: dict) -> AssessmentResult:
         raise ValueError(
             f"required_maturity {required} is not the criticality level {int(criticality.level)}"
         )
+    recommendations = tuple(
+        Recommendation(
+            sub_characteristic=_text(row, "sub_characteristic"),
+            reason=_text(row, "reason"),
+            remediation=_text(row, "remediation"),
+        )
+        for row in _rows(payload, "recommendations")
+    )
+    _only_written_keys(payload)
     assessment = Assessment(
         team=listed.team,
         system_id=listed.system,
@@ -245,14 +293,7 @@ def _result_from_payload(payload: dict) -> AssessmentResult:
         maturity=listed.maturity,
         required_maturity=required,
         colors=colors,
-        recommendations=tuple(
-            Recommendation(
-                sub_characteristic=_text(row, "sub_characteristic"),
-                reason=_text(row, "reason"),
-                remediation=_text(row, "remediation"),
-            )
-            for row in _rows(payload, "recommendations")
-        ),
+        recommendations=recommendations,
     )
 
 

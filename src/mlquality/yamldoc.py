@@ -12,6 +12,7 @@ resolved then too.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Any, Callable
 
@@ -61,6 +62,60 @@ def load_yaml(text: str, error: Callable[[str], Exception]) -> Any:
         # ValueError also covers text the parser cannot encode, e.g. a
         # lone surrogate, which only libyaml rejects this way
         raise error(f"invalid YAML: {exc}") from exc
+
+
+def load_yaml_records(text: str, key: str, error: Callable[[str], Exception]) -> Any:
+    """`load_yaml(text, error)`, with the block sequence under the top-level
+    `key` parsed one item at a time where splitting cannot change the result.
+
+    That is where a column-0 `key:` line ends the top-level keys and is
+    followed only by comments and blanks, then column-0 `- ` items, indented
+    lines, comments and blanks; and where nothing can tie one item to
+    another or to the rest of the document: no anchor, alias, tag,
+    directive, merge key or document marker, and no line break but `\\n`.
+    Each item must then parse on its own to one mapping. Parsed so, the
+    document's node graph is never all in memory at once: only one item's
+    is. Any other text, or an item that does not parse to one mapping, is
+    parsed as one document by `load_yaml`, so results and messages are the
+    same either way.
+    """
+    start = re.search(rf"^{re.escape(key)}:\n(?: *(?:#.*)?\n)*(?=- )", text, re.M)
+    if start and not _SPLIT_OFF.search(text) and not _OTHER_LINE.search(text, start.end()):
+        document = _load_split(text, start.end(), key)
+        if document is not None:
+            return document
+    return load_yaml(text, error)
+
+
+def _load_split(text: str, begin: int, key: str) -> dict | None:
+    """The document `text` is, parsed as the text before `begin` and each
+    column-0 `- ` item from `begin` on; None unless the text before parses
+    to a mapping that ends with `key:` and each item to one mapping."""
+    import yaml
+
+    starts = [item.start() for item in _ITEM.finditer(text, begin)]
+    try:
+        document = _load(text[:begin])
+        items = [_load(text[a:b]) for a, b in zip(starts, [*starts[1:], len(text)])]
+    except (yaml.YAMLError, ValueError):
+        return None
+    if not (isinstance(document, dict) and key in document and document[key] is None):
+        return None
+    if not all(
+        isinstance(item, list) and len(item) == 1 and isinstance(item[0], dict) for item in items
+    ):
+        return None
+    document[key] = [record for (record,) in items]
+    return document
+
+
+# what could tie a sequence item to text outside it: anchors and aliases
+# (a name is a word; "a & b" holds neither), tags, merge keys, directives
+# and document markers; and the line breaks YAML reads besides "\n"
+_SPLIT_OFF = re.compile(r"[&*][\w-]|[!\r\x85\u2028\u2029\ufeff]|<<|^(?:%|---|\.\.\.)", re.M)
+# a line that is not a column-0 sequence item, indented, a comment or blank
+_OTHER_LINE = re.compile(r"^(?!- | |#|$)", re.M)
+_ITEM = re.compile(r"^- ", re.M)
 
 
 def compose_yaml(text: str) -> Any:

@@ -682,6 +682,19 @@ MALFORMED_EDITS = [
         "ValueError:",
         id="basic date format",
     ),
+    # no key the store does not write, at the top level or in a row
+    pytest.param(
+        lambda payload: {**payload, "extra_field": 1},
+        "ValueError: snapshot holds keys the store does not write: 'extra_field'",
+        id="added top-level key",
+    ),
+    pytest.param(
+        lambda payload: {
+            **payload, "gaps": [{**payload["gaps"][0], "note": "x"}, *payload["gaps"][1:]]
+        },
+        "ValueError: gaps[0] holds keys the store does not write: 'note'",
+        id="added row key",
+    ),
 ]
 HISTORY_READABLE = {
     "gap token",
@@ -702,6 +715,8 @@ HISTORY_READABLE = {
     "maturity 5 with gaps",
     "maturity below 5 without red",
     "gap alias",
+    "added top-level key",
+    "added row key",
 }
 
 

@@ -156,8 +156,10 @@ STORE_COMMANDS = [
 
 def _edit_json(payload, path: list[int], operation: str, leaf):
     """Walk `path` down `payload` (each step an index into a list or into a
-    mapping's sorted keys, modulo its size), then drop the child reached or
-    swap it for `leaf`. Stops early at a leaf or an empty container."""
+    mapping's sorted keys, modulo its size), then drop the child reached,
+    swap it for `leaf`, or insert `leaf` beside it: under the new key
+    `inserted` in a mapping, before it in a list. Stops early at a leaf or
+    an empty container."""
     parent, key = None, None
     node = payload
     for step in path:
@@ -170,6 +172,10 @@ def _edit_json(payload, path: list[int], operation: str, leaf):
         return leaf if operation == "swap" else {}
     if operation == "swap":
         parent[key] = leaf
+    elif operation == "insert" and isinstance(parent, dict):
+        parent["inserted"] = leaf
+    elif operation == "insert":
+        parent.insert(key, leaf)
     else:
         del parent[key]
     return payload

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import json
 import logging
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import mlquality.registry as registry
+from mlquality import yamldoc
 from mlquality.assessment import GapEntry
 from mlquality.errors import OverrideError, SnapshotError
 from mlquality.model import Gap, default_model, load_quality_model
@@ -440,3 +446,174 @@ def test_overrides_boolean_true_gap_asks_for_quotes():
     assert problem.startswith("overrides: extra.fairness: gap reads as the boolean true")
     assert "quote the gap token" in problem
 
+
+
+# ---- per-record parsing of the systems list ---------------------------
+
+HEAD_LINES = ["schema_version: 1", "snapshot_date: 2026-08-01", "systems:"]
+
+
+def layout_lines(document: dict) -> list[str]:
+    """A snapshot in the layout its generator writes: block items at column
+    0, one field per line, every scalar written as JSON."""
+    lines = [f"{key}: {json.dumps(value)}" for key, value in document.items() if key != "systems"]
+    lines.append("systems:")
+    for entry in document["systems"]:
+        for index, (name, value) in enumerate(entry.items()):
+            lines.append(f"{'- ' if index == 0 else '  '}{name}: {json.dumps(value)}")
+    return lines
+
+
+def test_a_registry_in_the_generators_layout_is_parsed_one_record_at_a_time(monkeypatch):
+    systems = [
+        {
+            "system_id": f"sys-{index:05d}",
+            "team": f"team-{index % 7:03d}",
+            "in_production": index % 4 != 0,
+            "requests_per_day": 100 * index,
+            "training_duration": 5.0 * index,
+            "test_coverage": round(index / 50, 2),
+            "retraining": ("none", "manual", "scheduled")[index % 3],
+        }
+        for index in range(50)
+    ]
+    lines = layout_lines({"schema_version": 1, "systems": systems})
+    text = "\n".join([*lines[:1], "snapshot_date: 2026-08-01", *lines[1:]]) + "\n"
+    expected = load_registry_snapshot(text)
+
+    def whole_document(text, error):
+        raise AssertionError("the registry was parsed as one document")
+
+    monkeypatch.setattr(yamldoc, "load_yaml", whole_document)
+    monkeypatch.setattr(registry, "load_yaml", whole_document)
+    parsed = load_registry_snapshot(text)
+    assert parsed == expected
+    assert [record.system_id for record in parsed.systems] == [s["system_id"] for s in systems]
+    assert parsed.snapshot_date == dt.date(2026, 8, 1)
+
+
+# values of every YAML type, including text that needs quoting, folding or
+# escaping, for known fields (checked) and an unknown one (ignored)
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(st.sampled_from(" -:#'\"&*!|>{}[],\\\nax0.é"), max_size=12),
+)
+FIELDS = ("in_production", "requests_per_day", "test_coverage", "retraining", "owner_team", "note")
+RECORDS = st.lists(
+    st.builds(
+        lambda number, team, fields: {"system_id": f"s{number}", "team": team, **fields},
+        st.integers(0, 3),
+        st.sampled_from(["search", "ads & growth", "lab: west", "- dash"]),
+        st.dictionaries(st.sampled_from(FIELDS), VALUES, max_size=4),
+    ),
+    min_size=1,
+    max_size=4,
+)
+# lines put into the rendered text: comments and blanks, block, folded and
+# multi-line quoted scalars (one with a `- ` line inside its quotes),
+# anchors and aliases, and lines that break the layout or the document
+INSERTS = [
+    "# a comment",
+    "  # an indented comment",
+    "",
+    "  note: |\n    first\n    second",
+    "  note: >-\n    folded\n    text",
+    '  note: "first\n    second"',
+    '  note: "first\n- second"',
+    "  note: 'it''s\n    split'",
+    "  anchored: &a 1",
+    "  aliased: *a",
+    "- plain item",
+    "-",
+    "- {system_id: flow, team: t}",
+    "later_key: 1",
+    "\tnote: tab",
+    "  note: {a: 1,\n- b: 2}",
+    "---",
+    "systems:",
+    "  ~",
+    "? explicit",
+    "- &b {system_id: b, team: t}",
+    "  - nested: 1",
+]
+FORMS = ("layout", "block", "flow")
+
+
+def render(document: dict, form: str, width: int) -> list[str]:
+    if form == "layout":
+        return layout_lines(document)
+    dumped = yaml.safe_dump(
+        document, default_flow_style=form == "flow", sort_keys=False, width=width,
+        allow_unicode=True,
+    )
+    return dumped.splitlines()
+
+
+def whole_document_outcome(load, text):
+    """What `load` makes of `text` when the snapshot is parsed as one
+    document, as before the per-record path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            registry, "load_yaml_records", lambda text, key, error: yamldoc.load_yaml(text, error)
+        )
+        return outcome_of(load, text)
+
+
+def outcome_of(load, text):
+    try:
+        return "parsed", repr(load(text))
+    except SnapshotError as exc:
+        return "refused", exc.problems
+
+
+def load_document(text):
+    return yamldoc.load_yaml_records(text, "systems", SnapshotError)
+
+
+# how a document is changed after rendering: an anchor in the head, a
+# top-level key after `systems`, CRLF line ends, a byte order mark
+CHANGES = ("anchor", "tail", "crlf", "bom")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    systems=RECORDS,
+    form=st.sampled_from(FORMS),
+    width=st.sampled_from([20, 80]),
+    inserts=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(INSERTS)), max_size=2),
+    changes=st.sets(st.sampled_from(CHANGES), max_size=2),
+)
+@example(systems=[{"system_id": "a", "team": "t"}], form="layout", width=80, inserts=[],
+         changes=set())
+@example(systems=[{"system_id": "a", "team": "t", "note": "x"}], form="layout", width=80,
+         inserts=[(5, '  note: "first\\n- second"')], changes=set())
+@example(systems=[{"system_id": "a", "team": "t"}] * 2, form="block", width=80,
+         inserts=[(5, "  aliased: *a")], changes={"anchor"})
+def test_per_record_parse_equals_the_whole_document_parse(systems, form, width, inserts, changes):
+    """Whatever the layout, `load_registry_snapshot` gives what the
+    whole-document parse gives: the same snapshot, or the same message.
+    So does the document itself, key order included."""
+    lines = render({"schema_version": 1, "snapshot_date": "2026-08-01", "systems": systems},
+                   form, width)
+    for position, insert in inserts:
+        lines.insert(position % (len(lines) + 1), insert)
+    if "anchor" in changes:
+        lines.insert(0, "defaults: &a {team: shared}")
+    if "tail" in changes:
+        lines.append("after_systems: true")
+    text = "\n".join(lines) + "\n"
+    if "crlf" in changes:
+        text = text.replace("\n", "\r\n")
+    if "bom" in changes:
+        text = "\ufeff" + text
+    for loader in (yamldoc.LOADER, yaml.SafeLoader):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(yamldoc, "LOADER", loader)
+            assert outcome_of(load_registry_snapshot, text) == whole_document_outcome(
+                load_registry_snapshot, text
+            )
+            whole = outcome_of(lambda text: yamldoc.load_yaml(text, SnapshotError), text)
+            assert outcome_of(load_document, text) == whole

@@ -714,7 +714,7 @@ ORACLE_PAYLOADS = [
 ORACLE_EDITS = st.lists(
     st.tuples(
         st.lists(st.integers(0, 30), min_size=1, max_size=4),
-        st.sampled_from(["drop", "swap"]),
+        st.sampled_from(["drop", "swap", "insert"]),
         st.sampled_from([*LEAVES, False, 3.0, "3", "1", "20260701"]),
     ),
     min_size=1,
@@ -742,6 +742,9 @@ ORACLE_EDITS = st.lists(
 @example(which=1, edits=[([3, 12], "drop", None), ([1, 12], "drop", None)])
 @example(which=0, edits=[([3, 0, 0], "swap", "1")])  # a gap alias
 @example(which=0, edits=[([4, 0], "swap", "20260701")])  # a date in basic format
+@example(which=0, edits=[([5], "insert", 1)])  # a top-level key the store does not write
+@example(which=1, edits=[([3, 0, 0], "insert", "x")])  # a key in a gap row
+@example(which=1, edits=[([4, 0], "insert", None)])  # a key in the identity
 def test_every_snapshot_read_is_written_back_unchanged(which, edits):
     """A payload `_result_from_payload` accepts is the one `_snapshot_payload`
     writes for its result, model fingerprint aside, compared as JSON text
@@ -767,3 +770,15 @@ def test_every_snapshot_read_is_written_back_unchanged(which, edits):
     shades = set(result.colors.values())
     assert (shades == {GapColor.GREEN}) == (result.maturity == 5)
     assert (GapColor.RED in shades) == (result.maturity < 5)
+
+
+def test_written_keys_are_the_keys_the_store_writes():
+    """The key table the decoder refuses others by is what `_snapshot_payload`
+    writes, at every level."""
+    for payload in ORACLE_PAYLOADS:
+        assert store._WRITTEN_KEYS["snapshot"] == payload.keys()
+        for key in ("identity", "criticality"):
+            assert store._WRITTEN_KEYS[key] == payload[key].keys()
+        for key in ("characteristic_scores", "gaps", "colors", "recommendations"):
+            assert all(store._WRITTEN_KEYS[key] == row.keys() for row in payload[key])
+    assert ORACLE_PAYLOADS[1]["recommendations"], "a payload with a row of every list"
