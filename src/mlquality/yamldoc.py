@@ -79,21 +79,24 @@ def load_yaml_records(text: str, key: str, error: Callable[[str], Exception]) ->
     parsed as one document by `load_yaml`, so results and messages are the
     same either way.
     """
-    start = re.search(rf"^{re.escape(key)}:\n(?: *(?:#.*)?\n)*(?=- )", text, re.M)
-    if start and not _SPLIT_OFF.search(text) and not _OTHER_LINE.search(text, start.end()):
-        document = _load_split(text, start.end(), key)
-        if document is not None:
-            return document
-    return load_yaml(text, error)
+    document = _load_split(text, key)
+    return load_yaml(text, error) if document is None else document
 
 
-def _load_split(text: str, begin: int, key: str) -> dict | None:
-    """The document `text` is, parsed as the text before `begin` and each
-    column-0 `- ` item from `begin` on; None unless the text before parses
-    to a mapping that ends with `key:` and each item to one mapping."""
+def _load_split(text: str, key: str) -> dict | None:
+    """The document `text` is, parsed as the text up to the first `key`
+    item and each item on its own; None where the layout does not allow
+    that, or where the text before does not parse to a mapping that ends
+    with `key:` or an item to one mapping."""
     import yaml
 
-    starts = [item.start() for item in _ITEM.finditer(text, begin)]
+    start = re.search(rf"(?m)^{re.escape(key)}:\n(?: *(?:#.*)?\n)*(?=- )", text)
+    if not start or re.search(_SPLIT_OFF, text):
+        return None
+    begin = start.end()
+    if re.compile(_OTHER_LINE).search(text, begin):
+        return None
+    starts = [item.start() for item in re.compile(_ITEM).finditer(text, begin)]
     try:
         document = _load(text[:begin])
         items = [_load(text[a:b]) for a, b in zip(starts, [*starts[1:], len(text)])]
@@ -109,13 +112,14 @@ def _load_split(text: str, begin: int, key: str) -> dict | None:
     return document
 
 
+# patterns compiled on first use, which `re` caches, not on import
 # what could tie a sequence item to text outside it: anchors and aliases
 # (a name is a word; "a & b" holds neither), tags, merge keys, directives
 # and document markers; and the line breaks YAML reads besides "\n"
-_SPLIT_OFF = re.compile(r"[&*][\w-]|[!\r\x85\u2028\u2029\ufeff]|<<|^(?:%|---|\.\.\.)", re.M)
+_SPLIT_OFF = r"(?m)[&*][\w-]|[!\r\x85\u2028\u2029\ufeff]|<<|^(?:%|---|\.\.\.)"
 # a line that is not a column-0 sequence item, indented, a comment or blank
-_OTHER_LINE = re.compile(r"^(?!- | |#|$)", re.M)
-_ITEM = re.compile(r"^- ", re.M)
+_OTHER_LINE = r"(?m)^(?!- | |#|$)"
+_ITEM = r"(?m)^- "
 
 
 def compose_yaml(text: str) -> Any:
