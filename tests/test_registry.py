@@ -447,10 +447,7 @@ def test_overrides_boolean_true_gap_asks_for_quotes():
     assert "quote the gap token" in problem
 
 
-
 # ---- per-record parsing of the systems list ---------------------------
-
-HEAD_LINES = ["schema_version: 1", "snapshot_date: 2026-08-01", "systems:"]
 
 
 def layout_lines(document: dict) -> list[str]:
@@ -477,8 +474,8 @@ def test_a_registry_in_the_generators_layout_is_parsed_one_record_at_a_time(monk
         }
         for index in range(50)
     ]
-    lines = layout_lines({"schema_version": 1, "systems": systems})
-    text = "\n".join([*lines[:1], "snapshot_date: 2026-08-01", *lines[1:]]) + "\n"
+    lines = layout_lines({"schema_version": 1, "snapshot_date": "2026-08-01", "systems": systems})
+    text = "\n".join(lines) + "\n"
     expected = load_registry_snapshot(text)
 
     def whole_document(text, error):
@@ -552,14 +549,21 @@ def render(document: dict, form: str, width: int) -> list[str]:
     return dumped.splitlines()
 
 
-def whole_document_outcome(load, text):
-    """What `load` makes of `text` when the snapshot is parsed as one
-    document, as before the per-record path."""
+def snapshot_as_one_document(text):
+    """`load_registry_snapshot` with the whole document parsed at once."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             registry, "load_yaml_records", lambda text, key, error: yamldoc.load_yaml(text, error)
         )
-        return outcome_of(load, text)
+        return load_registry_snapshot(text)
+
+
+def document_by_records(text):
+    return yamldoc.load_yaml_records(text, "systems", SnapshotError)
+
+
+def document_at_once(text):
+    return yamldoc.load_yaml(text, SnapshotError)
 
 
 def outcome_of(load, text):
@@ -569,13 +573,9 @@ def outcome_of(load, text):
         return "refused", exc.problems
 
 
-def load_document(text):
-    return yamldoc.load_yaml_records(text, "systems", SnapshotError)
-
-
 # how a document is changed after rendering: an anchor in the head, a
 # top-level key after `systems`, CRLF line ends, a byte order mark
-CHANGES = ("anchor", "tail", "crlf", "bom")
+TEXT_CHANGES = ("anchor", "tail", "crlf", "bom")
 
 
 @settings(max_examples=300, deadline=None)
@@ -584,12 +584,12 @@ CHANGES = ("anchor", "tail", "crlf", "bom")
     form=st.sampled_from(FORMS),
     width=st.sampled_from([20, 80]),
     inserts=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(INSERTS)), max_size=2),
-    changes=st.sets(st.sampled_from(CHANGES), max_size=2),
+    changes=st.sets(st.sampled_from(TEXT_CHANGES), max_size=2),
 )
 @example(systems=[{"system_id": "a", "team": "t"}], form="layout", width=80, inserts=[],
          changes=set())
 @example(systems=[{"system_id": "a", "team": "t", "note": "x"}], form="layout", width=80,
-         inserts=[(5, '  note: "first\\n- second"')], changes=set())
+         inserts=[(5, '  note: "first\n- second"')], changes=set())
 @example(systems=[{"system_id": "a", "team": "t"}] * 2, form="block", width=80,
          inserts=[(5, "  aliased: *a")], changes={"anchor"})
 def test_per_record_parse_equals_the_whole_document_parse(systems, form, width, inserts, changes):
@@ -612,8 +612,7 @@ def test_per_record_parse_equals_the_whole_document_parse(systems, form, width, 
     for loader in (yamldoc.LOADER, yaml.SafeLoader):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(yamldoc, "LOADER", loader)
-            assert outcome_of(load_registry_snapshot, text) == whole_document_outcome(
-                load_registry_snapshot, text
+            assert outcome_of(load_registry_snapshot, text) == outcome_of(
+                snapshot_as_one_document, text
             )
-            whole = outcome_of(lambda text: yamldoc.load_yaml(text, SnapshotError), text)
-            assert outcome_of(load_document, text) == whole
+            assert outcome_of(document_by_records, text) == outcome_of(document_at_once, text)
