@@ -59,7 +59,7 @@ DOCUMENTATION_VALUES = ("none", "partial", "complete")
 FULFILLMENT_VALUES = ("none", "partial", "full")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemMetadata:
     """One system's registry record. None means the registry holds no
     evidence for that field."""
@@ -196,6 +196,39 @@ def check_field(name: str, value, problems: list[str], where: str) -> bool:
     return True
 
 
+class _Entry(NamedTuple):
+    """One `systems` item as read: its record, None where it lacks a valid
+    system_id or team; the problems of its values; the names of the fields
+    it holds that a record does not know."""
+
+    record: SystemMetadata | None
+    problems: tuple[str, ...]
+    unknown: tuple[str, ...]
+
+
+_KNOWN_FIELDS = frozenset(f.name for f in dataclass_fields(SystemMetadata))
+
+
+def _entry(index: int, entry) -> _Entry:
+    """Read the `systems` item at `index`. Neither raises nor logs, so the
+    parse can apply it to each item as that item parses."""
+    where = f"systems[{index}]"
+    if not isinstance(entry, dict):
+        return _Entry(None, (f"{where}: expected a mapping",), ())
+    problems: list[str] = []
+    unknown = []
+    values = {}
+    for name, value in entry.items():
+        if name not in _KNOWN_FIELDS:
+            unknown.append(name)
+        elif value is not None and check_field(name, value, problems, where):
+            values[name] = value
+    if "system_id" not in values or "team" not in values:
+        problems.append(f"{where}: system_id and team are required")
+        return _Entry(None, tuple(problems), tuple(unknown))
+    return _Entry(SystemMetadata(**values), tuple(problems), tuple(unknown))
+
+
 def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
     """Parse a registry snapshot document (YAML text or file path).
 
@@ -204,7 +237,7 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
     are hard errors.
     """
     text = read_text(source, SnapshotError) if isinstance(source, Path) else source
-    document = load_yaml_records(text, "systems", SnapshotError)
+    document = load_yaml_records(text, "systems", SnapshotError, _entry)
     if not isinstance(document, dict):
         raise SnapshotError("snapshot document must be a mapping")
     if document.get("schema_version") != SCHEMA_VERSION:
@@ -232,32 +265,20 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
     if not isinstance(entries, list):
         raise SnapshotError("snapshot must contain a list under 'systems'")
 
-    known = {f.name for f in dataclass_fields(SystemMetadata)}
     problems: list[str] = []
     records: list[SystemMetadata] = []
     seen_ids: set[str] = set()
-    for index, entry in enumerate(entries):
-        where = f"systems[{index}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: expected a mapping")
+    for index, (record, entry_problems, unknown) in enumerate(entries):
+        for name in unknown:
+            logger.warning("systems[%d]: ignoring unknown field %r", index, name)
+        problems += entry_problems
+        if record is None:
             continue
-        values = {}
-        for name, value in entry.items():
-            if name not in known:
-                logger.warning("%s: ignoring unknown field %r", where, name)
-                continue
-            if value is None:
-                continue
-            if check_field(name, value, problems, where):
-                values[name] = value
-        if "system_id" not in values or "team" not in values:
-            problems.append(f"{where}: system_id and team are required")
+        if record.system_id in seen_ids:
+            problems.append(f"systems[{index}]: duplicate system_id: {record.system_id}")
             continue
-        if values["system_id"] in seen_ids:
-            problems.append(f"{where}: duplicate system_id: {values['system_id']}")
-            continue
-        seen_ids.add(values["system_id"])
-        records.append(SystemMetadata(**values))
+        seen_ids.add(record.system_id)
+        records.append(record)
     if problems:
         raise SnapshotError(problems)
     return RegistrySnapshot(snapshot_date=snapshot_date, systems=tuple(records))

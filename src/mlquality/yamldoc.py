@@ -64,59 +64,84 @@ def load_yaml(text: str, error: Callable[[str], Exception]) -> Any:
         raise error(f"invalid YAML: {exc}") from exc
 
 
-def load_yaml_records(text: str, key: str, error: Callable[[str], Exception]) -> Any:
-    """`load_yaml(text, error)`, with the block sequence under the top-level
-    `key` parsed one item at a time where splitting cannot change the result.
+def load_yaml_records(
+    text: str, key: str, error: Callable[[str], Exception], convert: Callable[[int, Any], Any]
+) -> Any:
+    """`load_yaml(text, error)`, with each item of the list under the
+    top-level `key` replaced by `convert(index, item)`, and a block sequence
+    there parsed one item at a time where splitting cannot change the result.
 
     That is where a column-0 `key:` line ends the top-level keys and is
     followed only by comments and blanks, then column-0 `- ` items, indented
-    lines, comments and blanks; and where nothing can tie one item to
-    another or to the rest of the document: no anchor, alias, tag,
-    directive, merge key or document marker, and no line break but `\\n`.
-    Each item must then parse on its own to one mapping. Parsed so, the
-    document's node graph is never all in memory at once: only one item's
-    is. Any other text, or an item that does not parse to one mapping, is
-    parsed as one document by `load_yaml`, so results and messages are the
-    same either way.
+    lines, comments and blanks; where no anchor name is written twice; and
+    where the text holds no directive or document marker and no line break
+    but `\\n`. Each item must then parse on its own to one mapping. An alias
+    to an anchor outside its item, or a tag or merge key that does not parse
+    alone, fails that item's parse. Parsed so, each item is converted as soon
+    as it parses and only the result is kept: one item's node graph and raw
+    mapping are in memory at a time, never the whole list. Any other text,
+    or an item that does not parse to one mapping, is parsed as one document
+    by `load_yaml`, whose list under `key`, if the document is a mapping
+    holding one, is then converted item by item; results and messages are
+    the same either way. Items converted before such a fallback are
+    converted again, so `convert` must neither raise nor have side effects.
     """
-    document = _load_split(text, key)
-    return load_yaml(text, error) if document is None else document
+    document = _load_split(text, key, convert)
+    if document is None:
+        document = load_yaml(text, error)
+        if isinstance(document, dict) and isinstance(document.get(key), list):
+            document[key] = [convert(index, item) for index, item in enumerate(document[key])]
+    return document
 
 
-def _load_split(text: str, key: str) -> dict | None:
+def _load_split(text: str, key: str, convert: Callable[[int, Any], Any]) -> dict | None:
     """The document `text` is, parsed as the text up to the first `key`
-    item and each item on its own; None where the layout does not allow
-    that, or where the text before does not parse to a mapping that ends
-    with `key:` or an item to one mapping."""
-    import yaml
-
+    item and each item on its own, with the items converted; None where the
+    layout does not allow that, or where the text before does not parse to
+    a mapping that ends with `key:` or an item to one mapping."""
     start = re.search(rf"(?m)^{re.escape(key)}:\n(?: *(?:#.*)?\n)*(?=- )", text)
     if not start or re.search(_SPLIT_OFF, text):
+        return None
+    anchors = re.findall(_ANCHOR, text)
+    if len(set(anchors)) < len(anchors):
         return None
     begin = start.end()
     if re.compile(_OTHER_LINE).search(text, begin):
         return None
-    starts = [item.start() for item in re.compile(_ITEM).finditer(text, begin)]
-    try:
-        document = _load(text[:begin])
-        items = [_load(text[a:b]) for a, b in zip(starts, [*starts[1:], len(text)])]
-    except (yaml.YAMLError, ValueError):
-        return None
+    document = _parsed(text[:begin])
     if not (isinstance(document, dict) and key in document and document[key] is None):
         return None
-    if not all(
-        isinstance(item, list) and len(item) == 1 and isinstance(item[0], dict) for item in items
-    ):
-        return None
-    document[key] = [record for (record,) in items]
+    starts = [item.start() for item in re.compile(_ITEM).finditer(text, begin)]
+    records = []
+    for index, (a, b) in enumerate(zip(starts, [*starts[1:], len(text)])):
+        item = _parsed(text[a:b])
+        if not (isinstance(item, list) and len(item) == 1 and isinstance(item[0], dict)):
+            return None
+        # popped, so the raw mapping is freed as soon as it is converted
+        records.append(convert(index, item.pop()))
+    document[key] = records
     return document
 
 
+def _parsed(text: str) -> Any:
+    """`_load(text)`, or None where `text` does not parse."""
+    import yaml
+
+    try:
+        return _load(text)
+    except (yaml.YAMLError, ValueError):
+        return None
+
+
 # patterns compiled on first use, which `re` caches, not on import
-# what could tie a sequence item to text outside it: anchors and aliases
-# (a name is a word; "a & b" holds neither), tags, merge keys, directives
-# and document markers; and the line breaks YAML reads besides "\n"
-_SPLIT_OFF = r"(?m)[&*][\w-]|[!\r\x85\u2028\u2029\ufeff]|<<|^(?:%|---|\.\.\.)"
+# what could tie a sequence item to text outside it: directives and
+# document markers, and the line breaks YAML reads besides "\n"
+_SPLIT_OFF = r"(?m)[\r\x85\u2028\u2029\ufeff]|^(?:%|---|\.\.\.)"
+# what may be an anchor's name: a word after "&" where a token can start,
+# so "R&D" holds none, while one in quotes or a comment may count; a name
+# anchored twice fails the whole document ("found duplicate anchor") but
+# not each of two items on its own
+_ANCHOR = r"(?<![^\s\[{,:?-])&([\w-]+)"
 # a line that is not a column-0 sequence item, indented, a comment or blank
 _OTHER_LINE = r"(?m)^(?!- | |#|$)"
 _ITEM = r"(?m)^- "

@@ -489,6 +489,28 @@ def test_a_registry_in_the_generators_layout_is_parsed_one_record_at_a_time(monk
     assert parsed.snapshot_date == dt.date(2026, 8, 1)
 
 
+def test_each_item_is_converted_before_the_next_one_parses(monkeypatch):
+    systems = [{"system_id": f"sys-{index}", "team": "t", "monitoring": "full"} for index in range(5)]
+    text = "\n".join(layout_lines({"schema_version": 1, "systems": systems})) + "\n"
+    calls = []
+    load, entry = yamldoc._load, registry._entry
+
+    def logged_load(text):
+        calls.append("parse")
+        return load(text)
+
+    def logged_entry(index, item):
+        calls.append(f"convert {index}")
+        return entry(index, item)
+
+    monkeypatch.setattr(yamldoc, "_load", logged_load)
+    monkeypatch.setattr(registry, "_entry", logged_entry)
+    parsed = load_registry_snapshot(text)
+    assert [record.system_id for record in parsed.systems] == [s["system_id"] for s in systems]
+    # the head, then each item's parse followed at once by its conversion
+    assert calls == ["parse"] + [step for index in range(5) for step in ("parse", f"convert {index}")]
+
+
 # values of every YAML type, including text that needs quoting, folding or
 # escaping, for known fields (checked) and an unknown one (ignored)
 VALUES = st.one_of(
@@ -511,7 +533,9 @@ RECORDS = st.lists(
 )
 # lines put into the rendered text: comments and blanks, block, folded and
 # multi-line quoted scalars (one with a `- ` line inside its quotes),
-# anchors and aliases, and lines that break the layout or the document
+# anchors, aliases and tags, within an item, across items and written
+# twice, their marks inside quotes and comments, and lines that break the
+# layout or the document
 INSERTS = [
     "# a comment",
     "  # an indented comment",
@@ -535,6 +559,14 @@ INSERTS = [
     "? explicit",
     "- &b {system_id: b, team: t}",
     "  - nested: 1",
+    '  note: "R&D"',
+    '  note: "done!"',
+    '  note: "*ptr"',
+    "  # see &x",
+    "  note: !!str 5",
+    "  anchored: &c 1\n  aliased: *c",
+    "- {system_id: x, team: &d t}\n- {system_id: y, team: *d}",
+    '- {system_id: x, team: &e t}\n- {system_id: y, team: t, "note":&e u}',
 ]
 FORMS = ("layout", "block", "flow")
 
@@ -550,27 +582,88 @@ def render(document: dict, form: str, width: int) -> list[str]:
 
 
 def snapshot_as_one_document(text):
-    """`load_registry_snapshot` with the whole document parsed at once."""
+    """`load_registry_snapshot` with the whole document parsed at once and
+    then each `systems` item converted."""
+
+    def whole_document(text, key, error, convert):
+        document = yamldoc.load_yaml(text, error)
+        if isinstance(document, dict) and isinstance(document.get(key), list):
+            document[key] = [convert(index, item) for index, item in enumerate(document[key])]
+        return document
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            registry, "load_yaml_records", lambda text, key, error: yamldoc.load_yaml(text, error)
-        )
+        patch.setattr(registry, "load_yaml_records", whole_document)
         return load_registry_snapshot(text)
 
 
 def document_by_records(text):
-    return yamldoc.load_yaml_records(text, "systems", SnapshotError)
+    return yamldoc.load_yaml_records(text, "systems", SnapshotError, lambda index, item: item)
 
 
 def document_at_once(text):
     return yamldoc.load_yaml(text, SnapshotError)
 
 
+class Messages(logging.Handler):
+    """The messages logged to a logger while in use, in order."""
+
+    def __init__(self, logger):
+        super().__init__(logging.DEBUG)
+        self.logger, self.messages = logger, []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        self.logger.addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc_info):
+        self.logger.removeHandler(self)
+
+
 def outcome_of(load, text):
-    try:
-        return "parsed", repr(load(text))
-    except SnapshotError as exc:
-        return "refused", exc.problems
+    """What `load` makes of `text`, and the warnings it logs meanwhile."""
+    with Messages(registry.logger) as warnings:
+        try:
+            return "parsed", repr(load(text)), warnings
+        except SnapshotError as exc:
+            return "refused", exc.problems, warnings
+
+
+# unknown fields, bad values and duplicate ids over several records; a
+# record with a bad value still takes its id
+FAULTY = [
+    {"system_id": "s1", "team": "t", "note": "x", "test_coverage": 2},
+    {"system_id": "s2", "team": "", "retraining": "weekly", "note": None},
+    {"system_id": "s1", "team": "t", "in_production": "maybe"},
+    {"system_id": "s3", "team": "t", "note": 1, "requests_per_day": -1},
+    {"system_id": "s3", "team": "t"},
+]
+
+
+def test_problems_and_warnings_follow_the_records_order():
+    lines = layout_lines({"schema_version": 1, "systems": FAULTY})
+    text = "\n".join(["defaults: 1", *lines]) + "\n"
+    assert outcome_of(load_registry_snapshot, text) == (
+        "refused",
+        [
+            "systems[0]: test_coverage must be within 0..1, got 2",
+            "systems[1]: team must be non-empty text, got ''",
+            "systems[1]: retraining must be one of none, manual, scheduled, got 'weekly'",
+            "systems[1]: system_id and team are required",
+            "systems[2]: in_production must be a boolean, got 'maybe'",
+            "systems[2]: duplicate system_id: s1",
+            "systems[3]: requests_per_day must be >= 0, got -1",
+            "systems[4]: duplicate system_id: s3",
+        ],
+        [
+            "snapshot: ignoring unknown top-level field 'defaults'",
+            "systems[0]: ignoring unknown field 'note'",
+            "systems[1]: ignoring unknown field 'note'",
+            "systems[3]: ignoring unknown field 'note'",
+        ],
+    )
 
 
 # how a document is changed after rendering: an anchor in the head, a
@@ -592,10 +685,18 @@ TEXT_CHANGES = ("anchor", "tail", "crlf", "bom")
          inserts=[(5, '  note: "first\n- second"')], changes=set())
 @example(systems=[{"system_id": "a", "team": "t"}] * 2, form="block", width=80,
          inserts=[(5, "  aliased: *a")], changes={"anchor"})
+@example(systems=FAULTY, form="layout", width=80, inserts=[(9, "  owner: nobody")],
+         changes={"anchor"})
+@example(systems=[{"system_id": "a", "team": "t"}] * 2, form="layout", width=80,
+         inserts=[(4, "  note: &x 1"), (7, "  note: &x 2")], changes=set())
+@example(systems=[{"system_id": "a", "team": "t"}], form="layout", width=80,
+         inserts=[(5, '- {system_id: x, team: &e t}\n- {system_id: y, team: t, "note":&e u}')],
+         changes=set())
 def test_per_record_parse_equals_the_whole_document_parse(systems, form, width, inserts, changes):
     """Whatever the layout, `load_registry_snapshot` gives what the
-    whole-document parse gives: the same snapshot, or the same message.
-    So does the document itself, key order included."""
+    whole-document parse gives: the same snapshot, or the same message,
+    after the same warnings. So does the document itself, key order
+    included."""
     lines = render({"schema_version": 1, "snapshot_date": "2026-08-01", "systems": systems},
                    form, width)
     for position, insert in inserts:
