@@ -209,16 +209,16 @@ class _Entry(NamedTuple):
 _KNOWN_FIELDS = frozenset(f.name for f in dataclass_fields(SystemMetadata))
 
 
-def _entry(index: int, entry) -> _Entry:
+def _read_entry(index: int, item) -> _Entry:
     """Read the `systems` item at `index`. Neither raises nor logs, so the
     parse can apply it to each item as that item parses."""
     where = f"systems[{index}]"
-    if not isinstance(entry, dict):
+    if not isinstance(item, dict):
         return _Entry(None, (f"{where}: expected a mapping",), ())
     problems: list[str] = []
     unknown = []
     values = {}
-    for name, value in entry.items():
+    for name, value in item.items():
         if name not in _KNOWN_FIELDS:
             unknown.append(name)
         elif value is not None and check_field(name, value, problems, where):
@@ -237,7 +237,7 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
     are hard errors.
     """
     text = read_text(source, SnapshotError) if isinstance(source, Path) else source
-    document = load_yaml_records(text, "systems", SnapshotError, _entry)
+    document = load_yaml_records(text, "systems", SnapshotError, _read_entry)
     if not isinstance(document, dict):
         raise SnapshotError("snapshot document must be a mapping")
     if document.get("schema_version") != SCHEMA_VERSION:

@@ -75,16 +75,17 @@ def load_yaml_records(
     followed only by comments and blanks, then column-0 `- ` items, indented
     lines, comments and blanks; where no anchor name is written twice; and
     where the text holds no directive or document marker and no line break
-    but `\\n`. Each item must then parse on its own to one mapping. An alias
-    to an anchor outside its item, or a tag or merge key that does not parse
-    alone, fails that item's parse. Parsed so, each item is converted as soon
-    as it parses and only the result is kept: one item's node graph and raw
-    mapping are in memory at a time, never the whole list. Any other text,
-    or an item that does not parse to one mapping, is parsed as one document
-    by `load_yaml`, whose list under `key`, if the document is a mapping
-    holding one, is then converted item by item; results and messages are
-    the same either way. Items converted before such a fallback are
-    converted again, so `convert` must neither raise nor have side effects.
+    but `\\n`. Each item must then parse on its own to one mapping; an alias
+    to an anchor outside the item, merge keys included, fails that parse,
+    while tags read alike either way. Parsed so, each item is converted as
+    soon as it parses and only the result is kept: one item's node graph and
+    raw mapping are in memory at a time, never the whole list. Any other
+    text, or an item that does not parse to one mapping, is parsed as one
+    document by `load_yaml`, whose list under `key`, if the document is a
+    mapping holding one, is then converted item by item; results and
+    messages are the same either way. Items converted before such a fallback
+    are converted again, so `convert` must neither raise nor have side
+    effects.
     """
     document = _load_split(text, key, convert)
     if document is None:
