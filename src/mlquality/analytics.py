@@ -9,13 +9,13 @@ changes the output.
 
 from __future__ import annotations
 
-import html
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CohortError
 from .model import LEVELS
 from .percentiles import nearest_rank
+from .report import escape
 from .scoring import AssessmentResult
 from .store import GapMask, HistoryRow, attribute_differences, no_gap_mask
 
@@ -283,7 +283,7 @@ def render_trend_chart(rows: Iterable[HistoryRow]) -> str:
             f'x2="{_fmt(_MARGIN_LEFT + 24)}" y2="{_fmt(ly - 4)}" '
             f'stroke="{color}" stroke-width="2"/>'
             f'<text x="{_fmt(_MARGIN_LEFT + 32)}" y="{_fmt(ly)}" '
-            f'font-size="12" fill="#2c3e50">{html.escape(label)}</text>'
+            f'font-size="12" fill="#2c3e50">{escape(label)}</text>'
         )
     marker_y = _MARGIN_TOP + _PLOT_HEIGHT + 58 + 24 * len(systems)
     marker_x = _MARGIN_LEFT
@@ -291,7 +291,7 @@ def render_trend_chart(rows: Iterable[HistoryRow]) -> str:
         parts.append(_maturity_marker(marker_x + 5, marker_y - 4, level, "#566573"))
         parts.append(
             f'<text x="{_fmt(marker_x + 16)}" y="{_fmt(marker_y)}" '
-            f'font-size="11" fill="#566573">{html.escape(label)}</text>'
+            f'font-size="11" fill="#566573">{escape(label)}</text>'
         )
         marker_x += 95
     parts.append("</svg>")
@@ -345,7 +345,7 @@ def render_compliance_chart(rows: Sequence[ComplianceRow]) -> str:
         parts.append(
             f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="11" fill="#2c3e50" '
             f'transform="rotate(-60 {_fmt(lx)} {_fmt(ly)})" text-anchor="end">'
-            f"{html.escape(row.sub_characteristic)}</text>"
+            f"{escape(row.sub_characteristic)}</text>"
         )
     legend_y = margin_top + plot_height + label_area + 20
     parts.append(

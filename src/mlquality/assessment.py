@@ -12,7 +12,7 @@ import csv
 import datetime as dt
 import io
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import GapFileError
 from .model import GAP_ALIASES, Gap, QualityModel
@@ -23,8 +23,7 @@ if TYPE_CHECKING:
 CSV_HEADER = ("sub_characteristic", "gap", "reason")
 
 
-@dataclass(frozen=True)
-class GapEntry:
+class GapEntry(NamedTuple):
     gap: Gap
     reason: str
 

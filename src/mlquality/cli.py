@@ -17,7 +17,7 @@ import importlib
 import logging
 import os
 import sys
-from dataclasses import fields as dataclass_fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .assessment import Assessment, parse_assessment
@@ -123,8 +123,7 @@ def _load_usage(path: str) -> SystemUsage:
     )
     if not isinstance(document, dict):
         raise MlQualityError(f"{where} must be a mapping")
-    known = {f.name for f in dataclass_fields(SystemUsage)}
-    unknown = sorted(set(document) - known)
+    unknown = sorted(set(document) - set(SystemUsage._fields))
     if unknown:
         raise MlQualityError(f"{where}: unknown fields: {', '.join(unknown)}")
     # as in a registry record, null means no evidence: the default applies

@@ -10,10 +10,11 @@ fixed in this schema version.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ModelConfigError
 from .yamldoc import load_yaml, read_text
@@ -94,8 +95,7 @@ _DEMAND_TOKENS = {Demand.NONE: "-", Demand.MINIMAL: "min", Demand.FULL: "full"}
 DEMAND_ALIASES: dict[str, Demand] = {v: k for k, v in _DEMAND_TOKENS.items()}
 
 
-@dataclass(frozen=True)
-class SubCharacteristic:
+class SubCharacteristic(NamedTuple):
     """One quality attribute: an id, its parent characteristic and texts.
 
     `minimal_requirement` is None for essential attributes, which only
@@ -154,9 +154,15 @@ class QualityModel:
     @cached_property
     def fingerprint(self) -> str:
         """Content hash of everything in the model that affects results."""
-        # imported here: only commands that persist or compare a snapshot
-        # need it, and loading OpenSSL costs every other command start-up time
-        import hashlib
+        # CPython's built-in SHA-256 gives hashlib's digest without loading
+        # OpenSSL (start-up time and 3.6 MB); hashlib only where it is not built
+        try:
+            from _sha2 import sha256  # 3.12 on
+        except ImportError:
+            try:
+                from _sha256 import sha256  # 3.10 and 3.11
+            except ImportError:
+                from hashlib import sha256
 
         payload = {
             "sub_characteristics": [
@@ -173,7 +179,7 @@ class QualityModel:
             ]
         }
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()
 
     @cached_property
     def _first_violated(self) -> dict[str, tuple[int, ...]]:
@@ -341,13 +347,13 @@ def load_quality_model(source: str | Path | None = None) -> QualityModel:
             if field == "remediation":
                 remediation[sub_id] = value or ""
             elif field == "minimal_requirement":
-                subs[sub_id] = replace(subs[sub_id], minimal_requirement=value)
+                subs[sub_id] = subs[sub_id]._replace(minimal_requirement=value)
             elif value is None:
                 problems.append(
                     f"sub_characteristics.{sub_id}.{field}: cannot be empty"
                 )
             else:
-                subs[sub_id] = replace(subs[sub_id], **{field: value})
+                subs[sub_id] = subs[sub_id]._replace(**{field: value})
 
     matrix = dict(model.matrix)
     matrix_overrides = document.get("matrix") or {}

@@ -9,9 +9,8 @@ the report's date is the assessment date, never the wall clock.
 from __future__ import annotations
 
 import datetime as dt
-import html
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Characteristic, QualityModel
 from .scoring import AssessmentResult, GapColor
@@ -44,10 +43,15 @@ _SECTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     html: str
     generated_at: dt.date
+
+
+def escape(text: str) -> str:
+    """`html.escape(text)`, without loading `html` and its entities table."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("'", "&#x27;"))
 
 
 def _axis_angle(index: int) -> float:
@@ -122,7 +126,7 @@ def render_radar(scores: dict[Characteristic, int]) -> str:
         label = f"{axis.display_name} ({scores[axis]})"
         parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y + 4)}" text-anchor="{anchor}" '
-            f'font-size="13" fill="#2c3e50">{html.escape(label)}</text>'
+            f'font-size="13" fill="#2c3e50">{escape(label)}</text>'
         )
     parts.append("</svg>")
     return "".join(parts)
@@ -155,13 +159,13 @@ def _attribute_item(
     name = sub_id.replace("_", " ").capitalize()
     lines = [
         "<li>",
-        f'<span class="attribute">{html.escape(name)}</span>',
-        f'<span class="reason">{html.escape(reason)}</span>',
+        f'<span class="attribute">{escape(name)}</span>',
+        f'<span class="reason">{escape(reason)}</span>',
     ]
     if remediation:
         lines.append(
             f'<span class="remediation">Recommendation: '
-            f"{html.escape(remediation)}</span>"
+            f"{escape(remediation)}</span>"
         )
     lines.append("</li>")
     return "".join(lines)
@@ -205,7 +209,7 @@ def render_report(
         )
         sections.append(
             f'<section style="color: {css}">'
-            f"<h2>{html.escape(title)} ({len(members)})</h2>"
+            f"<h2>{escape(title)} ({len(members)})</h2>"
             f'<div style="color: #2c3e50">{body}</div>'
             "</section>"
         )
@@ -213,7 +217,7 @@ def render_report(
     family = ", ".join(assessment.family_members)
     criticality = assessment.criticality
     criticality_cell = (
-        f"{int(criticality.level)} &mdash; {html.escape(criticality.justification)}"
+        f"{int(criticality.level)} &mdash; {escape(criticality.justification)}"
         if criticality is not None
         else "not classified"
     )
@@ -221,16 +225,16 @@ def render_report(
 <html lang="en">
 <head>
 <meta charset="utf-8"/>
-<title>ML quality report: {html.escape(assessment.system_id)}</title>
+<title>ML quality report: {escape(assessment.system_id)}</title>
 <style>
 {_STYLE}
 </style>
 </head>
 <body>
-<h1>ML quality report: {html.escape(assessment.system_id)}</h1>
-<p class="identity">Team {html.escape(assessment.team)} &middot;
-System {html.escape(assessment.system_id)} &middot;
-Family: {html.escape(family)} &middot;
+<h1>ML quality report: {escape(assessment.system_id)}</h1>
+<p class="identity">Team {escape(assessment.team)} &middot;
+System {escape(assessment.system_id)} &middot;
+Family: {escape(family)} &middot;
 Date {assessment.date.isoformat()}</p>
 <table class="summary">
 <tr><th>Business criticality</th><td>{criticality_cell}</td></tr>

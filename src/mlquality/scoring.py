@@ -14,8 +14,8 @@ be evaluated in parallel without shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 from .assessment import Assessment, check_gaps_total
 from .model import LEVELS, Characteristic, QualityModel, SubCharacteristic
@@ -33,14 +33,12 @@ class CriticalityLevel(IntEnum):
 _REQUIRED_LEVELS = tuple(int(level) for level in CriticalityLevel)
 
 
-@dataclass(frozen=True)
-class BusinessCriticality:
+class BusinessCriticality(NamedTuple):
     level: CriticalityLevel
     justification: str
 
 
-@dataclass(frozen=True)
-class SystemUsage:
+class SystemUsage(NamedTuple):
     """Usage facts feeding the criticality decision."""
 
     requests_per_day: int = 0
@@ -50,8 +48,7 @@ class SystemUsage:
     in_production: bool = False
 
 
-@dataclass(frozen=True)
-class FleetStats:
+class FleetStats(NamedTuple):
     """Fleet-level thresholds used by the criticality and efficiency rules.
 
     `requests_p66` is the 66th percentile of daily request volume over
@@ -76,15 +73,13 @@ class GapColor(Enum):
 _SEVERITY = {color: rank for rank, color in enumerate(GapColor)}
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     sub_characteristic: str
     reason: str
     remediation: str
 
 
-@dataclass(frozen=True)
-class AssessmentResult:
+class AssessmentResult(NamedTuple):
     """Everything derived from one assessment, ready for rendering.
 
     Mapping fields preserve catalog row order (and catalog characteristic

@@ -29,9 +29,8 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .assessment import Assessment, GapEntry, serialize_assessment
 from .errors import StoreError
@@ -53,8 +52,7 @@ SNAPSHOT_FILE = "snapshot.json"
 REPORT_FILE = "report.html"
 
 
-@dataclass(frozen=True)
-class StoredAssessment:
+class StoredAssessment(NamedTuple):
     team: str
     system: str
     date: dt.date
@@ -64,8 +62,7 @@ class StoredAssessment:
     report: Path
 
 
-@dataclass(frozen=True)
-class HistoryRow:
+class HistoryRow(NamedTuple):
     team: str
     system: str
     date: dt.date

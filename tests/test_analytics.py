@@ -157,7 +157,7 @@ def test_compliance_rejects_members_assessing_other_attributes():
     lacking = _cohort({})[0]
     gaps = dict(lacking.assessment.gaps)
     del gaps["fairness"]
-    lacking = replace(lacking, assessment=replace(lacking.assessment, gaps=gaps))
+    lacking = lacking._replace(assessment=replace(lacking.assessment, gaps=gaps))
     with pytest.raises(CohortError) as raised:
         compliance_by_subcharacteristic(before, [lacking])
     assert isinstance(raised.value, ValueError)

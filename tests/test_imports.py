@@ -4,11 +4,13 @@ use: `mlquality.X` and the `mlquality.cli` bindings a tracer wraps."""
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -30,8 +32,13 @@ systems:
   - {system_id: ranker, team: search, in_production: true, requests_per_day: 500}
   - {system_id: sandbox, team: lab, in_production: false, training_duration: 10}
 """
-# modules neither `mlq assess --criticality` nor `mlq report` runs
-NOT_FOR_DESK = {"yaml", "mlquality.registry", "mlquality.analytics", "mlquality.form"}
+# modules neither `mlq assess --criticality` nor `mlq report` runs, and
+# two they need not load: `html` (its `html.entities` table) to escape
+# five characters, and OpenSSL (`_hashlib`) to hash one string
+NOT_FOR_DESK = {
+    "yaml", "mlquality.registry", "mlquality.analytics", "mlquality.form", "html",
+    "_hashlib",
+}
 
 
 def _run(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -102,7 +109,8 @@ def test_infer_and_fleet_load_what_they_run(tmp_path):
         ["fleet", "--store", str(store), "--out", str(tmp_path / "fleet"),
          "--before", "2026-07-01", "--after", "2026-07-01"],
     )
-    assert {"yaml", "mlquality.registry", "mlquality.analytics", "hashlib"} <= loaded
+    assert {"yaml", "mlquality.registry", "mlquality.analytics"} <= loaded
+    assert "_hashlib" not in loaded
     assert "mlquality.form" not in loaded
     assert len((tmp_path / "fleet" / "compliance.csv").read_text().splitlines()) == 26
 
@@ -116,6 +124,27 @@ def test_every_public_name_resolves_and_is_listed():
         assert value is getattr(module, name)
     assert mlquality.__all__ == sorted(mlquality.__all__)
     assert len(mlquality.__all__) == 59
+
+
+def test_records_on_the_desk_path_are_named_tuples():
+    """`@dataclass` generates and compiles each class's methods at import,
+    so every record `mlq assess` and `mlq report` import is a NamedTuple,
+    except the two whose construction checks or derives: `Assessment` and
+    `QualityModel`."""
+    records = {}
+    for name in ("model", "assessment", "scoring", "report", "store"):
+        module = importlib.import_module(f"mlquality.{name}")
+        for attribute, value in vars(module).items():
+            if (inspect.isclass(value) and value.__module__ == module.__name__
+                    and not attribute.startswith("_")
+                    and not issubclass(value, (Enum, Exception))):
+                records[attribute] = value
+    dataclasses = {
+        name for name, cls in records.items()
+        if not (issubclass(cls, tuple) and hasattr(cls, "_fields"))
+    }
+    assert dataclasses == {"Assessment", "QualityModel"}
+    assert len(records) == 12
 
 
 def test_star_import_and_from_import_behave_as_eager_exports():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import sys
 
 import pytest
 
@@ -203,3 +206,51 @@ def test_higher_levels_accept_fewer_gap_vectors(model):
         ]
         for lower, higher in zip(satisfied, satisfied[1:]):
             assert lower or not higher
+
+
+def _reference_fingerprint(model) -> str:
+    """hashlib's SHA-256 of the model's canonical JSON, built here from the
+    model's public fields."""
+    rows = [
+        {
+            "id": sub.id,
+            "characteristic": sub.characteristic.value,
+            "minimal_requirement": sub.minimal_requirement,
+            "full_requirement": sub.full_requirement,
+            "reasoning": sub.reasoning,
+            "remediation": model.remediation_texts.get(sub.id, ""),
+            "demands": [demand.token for demand in model.matrix[sub.id]],
+        }
+        for sub in model.sub_characteristics
+    ]
+    canonical = json.dumps(
+        {"sub_characteristics": rows}, sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+MODEL_CONFIG = (
+    "sub_characteristics:\n"
+    "  testability:\n"
+    "    full_requirement: Coverage above ninety percent \u2014 \u00e9t\u00e9\n"
+    "    remediation: Write more tests\n"
+    "matrix:\n"
+    "  testability: ['-', '-', min, min, full]\n"
+)
+
+
+def test_fingerprint_is_hashlibs_sha256_of_the_canonical_model(tmp_path):
+    config = tmp_path / "model.yaml"
+    config.write_text(MODEL_CONFIG, encoding="utf-8")
+    default, configured = default_model(), load_quality_model(config)
+    assert default.fingerprint == _reference_fingerprint(default)
+    assert configured.fingerprint == _reference_fingerprint(configured)
+    assert configured.fingerprint != default.fingerprint
+
+
+def test_fingerprint_falls_back_to_hashlib(monkeypatch):
+    # a None entry makes the import fail, as where the module is not built
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    model = default_model()
+    assert model.fingerprint == _reference_fingerprint(model)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import html
 import math
 import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import make_assessment
 from mlquality.model import Characteristic, Gap
@@ -14,6 +16,7 @@ from mlquality.report import (
     _CENTER_X,
     _CENTER_Y,
     _RADIUS,
+    escape,
     render_radar,
     render_report,
 )
@@ -164,3 +167,9 @@ def test_report_escapes_untrusted_text(model):
     html = render_report(result).html
     assert "<script>" not in html
     assert "a&lt;b&gt;&amp;c" in html
+
+
+@given(st.text())
+@example("&amp; <b class=\"x\">it's</b> &#x27;")
+def test_escape_equals_html_escape(text):
+    assert escape(text) == html.escape(text, quote=True)
