@@ -10,6 +10,7 @@ fixed in this schema version.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -154,15 +155,14 @@ class QualityModel:
     @cached_property
     def fingerprint(self) -> str:
         """Content hash of everything in the model that affects results."""
-        # CPython's built-in SHA-256 gives hashlib's digest without loading
-        # OpenSSL (start-up time and 3.6 MB); hashlib only where it is not built
+        # CPython's built-in SHA-256: hashlib's digest without loading OpenSSL
         try:
-            from _sha2 import sha256  # 3.12 on
+            if sys.version_info >= (3, 12):
+                from _sha2 import sha256
+            else:
+                from _sha256 import sha256
         except ImportError:
-            try:
-                from _sha256 import sha256  # 3.10 and 3.11
-            except ImportError:
-                from hashlib import sha256
+            from hashlib import sha256
 
         payload = {
             "sub_characteristics": [

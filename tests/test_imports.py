@@ -139,11 +139,11 @@ def test_records_on_the_desk_path_are_named_tuples():
                     and not attribute.startswith("_")
                     and not issubclass(value, (Enum, Exception))):
                 records[attribute] = value
-    dataclasses = {
+    others = {
         name for name, cls in records.items()
         if not (issubclass(cls, tuple) and hasattr(cls, "_fields"))
     }
-    assert dataclasses == {"Assessment", "QualityModel"}
+    assert others == {"Assessment", "QualityModel"}
     assert len(records) == 12
 
 
