@@ -522,7 +522,9 @@ NOT_DIRECTORY_KINDS = ["file_team", "file_system", "file_date", "link_date"]
 
 
 def _glob_snapshots(root: Path, team: str | None, system: str | None) -> list[Path]:
-    """Sorted snapshot paths as a pathlib glob over the store finds them."""
+    """Sorted snapshot paths as a pathlib glob over the store finds them,
+    with Python 3.11's glob semantics: from 3.12 on, a literal last segment
+    also matches a broken symlink, which 3.11 skipped."""
     tail = f"*/{store.SNAPSHOT_FILE}"
     if system is not None:
         system_name = sanitize_component(system)
@@ -532,7 +534,7 @@ def _glob_snapshots(root: Path, team: str | None, system: str | None) -> list[Pa
         found = (root / sanitize_component(team)).glob(f"*/{tail}")
     else:
         found = root.glob(f"*/*/{tail}")
-    return sorted(found)
+    return sorted(path for path in found if path.exists())
 
 
 def _glob_history(root: Path, team: str | None, system: str | None):
