@@ -9,6 +9,7 @@ the report's date is the assessment date, never the wall clock.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import math
 from typing import NamedTuple
 
@@ -61,14 +62,49 @@ def _axis_angle(index: int) -> float:
 
 def _axis_point(index: int, radius: float) -> tuple[float, float]:
     angle = _axis_angle(index)
-    return (
-        _CENTER_X + radius * math.cos(angle),
-        _CENTER_Y - radius * math.sin(angle),
-    )
+    return _CENTER_X + radius * math.cos(angle), _CENTER_Y - radius * math.sin(angle)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
+
+
+def _points(radii) -> str:
+    """Polygon points at the k-th radius along the k-th axis."""
+    return " ".join(
+        f"{_fmt(x)},{_fmt(y)}" for x, y in (_axis_point(k, r) for k, r in enumerate(radii))
+    )
+
+
+@functools.cache
+def _radar_frame() -> tuple[str, tuple[str, ...]]:
+    """What a radar draws whatever its scores, built on the first render: the
+    `<svg>` head, its rings and axis lines, and each axis label's `<text>` head."""
+    parts = [
+        f'<svg class="radar" role="img" width="{_RADAR_WIDTH}" height="{_RADAR_HEIGHT}" '
+        f'viewBox="0 0 {_RADAR_WIDTH} {_RADAR_HEIGHT}" xmlns="http://www.w3.org/2000/svg">'
+    ]
+    for fraction in (0.25, 0.5, 0.75, 1.0):
+        parts.append(
+            f'<polygon points="{_points([_RADIUS * fraction] * 7)}" fill="none" '
+            'stroke="#d5d8dc" stroke-width="1"/>'
+        )
+    for k in range(7):
+        x, y = _axis_point(k, _RADIUS)
+        parts.append(
+            f'<line x1="{_fmt(_CENTER_X)}" y1="{_fmt(_CENTER_Y)}" '
+            f'x2="{_fmt(x)}" y2="{_fmt(y)}" stroke="#d5d8dc" stroke-width="1"/>'
+        )
+    heads = []
+    for k in range(7):
+        x, y = _axis_point(k, _RADIUS + 16)
+        cos = math.cos(_axis_angle(k))
+        anchor = "middle" if abs(cos) < 0.15 else "start" if cos > 0 else "end"
+        heads.append(
+            f'<text x="{_fmt(x)}" y="{_fmt(y + 4)}" text-anchor="{anchor}" '
+            'font-size="13" fill="#2c3e50">'
+        )
+    return "".join(parts), tuple(heads)
 
 
 def render_radar(scores: dict[Characteristic, int]) -> str:
@@ -82,54 +118,16 @@ def render_radar(scores: dict[Characteristic, int]) -> str:
         raise ValueError(
             f"expected scores for exactly 7 characteristics, got {len(scores)}"
         )
-    parts = [
-        f'<svg class="radar" role="img" width="{_RADAR_WIDTH}" '
-        f'height="{_RADAR_HEIGHT}" '
-        f'viewBox="0 0 {_RADAR_WIDTH} {_RADAR_HEIGHT}" '
-        'xmlns="http://www.w3.org/2000/svg">'
-    ]
-    for fraction in (0.25, 0.5, 0.75, 1.0):
-        ring = " ".join(
-            f"{_fmt(x)},{_fmt(y)}"
-            for x, y in (_axis_point(k, _RADIUS * fraction) for k in range(7))
-        )
-        parts.append(
-            f'<polygon points="{ring}" fill="none" stroke="#d5d8dc" '
-            'stroke-width="1"/>'
-        )
-    for k in range(7):
-        x, y = _axis_point(k, _RADIUS)
-        parts.append(
-            f'<line x1="{_fmt(_CENTER_X)}" y1="{_fmt(_CENTER_Y)}" '
-            f'x2="{_fmt(x)}" y2="{_fmt(y)}" stroke="#d5d8dc" stroke-width="1"/>'
-        )
-    vertices = " ".join(
-        f"{_fmt(x)},{_fmt(y)}"
-        for x, y in (
-            _axis_point(k, _RADIUS * scores[axis] / 100.0)
-            for k, axis in enumerate(RADAR_AXIS_ORDER)
-        )
+    frame, heads = _radar_frame()
+    vertices = _points(_RADIUS * scores[axis] / 100.0 for axis in RADAR_AXIS_ORDER)
+    labels = "".join(
+        f"{head}{escape(f'{axis.display_name} ({scores[axis]})')}</text>"
+        for head, axis in zip(heads, RADAR_AXIS_ORDER)
     )
-    parts.append(
-        f'<polygon points="{vertices}" fill="#2e86c1" fill-opacity="0.35" '
-        'stroke="#2e86c1" stroke-width="2"/>'
+    return (
+        f'{frame}<polygon points="{vertices}" fill="#2e86c1" fill-opacity="0.35" '
+        f'stroke="#2e86c1" stroke-width="2"/>{labels}</svg>'
     )
-    for k, axis in enumerate(RADAR_AXIS_ORDER):
-        x, y = _axis_point(k, _RADIUS + 16)
-        cos = math.cos(_axis_angle(k))
-        if abs(cos) < 0.15:
-            anchor = "middle"
-        elif cos > 0:
-            anchor = "start"
-        else:
-            anchor = "end"
-        label = f"{axis.display_name} ({scores[axis]})"
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y + 4)}" text-anchor="{anchor}" '
-            f'font-size="13" fill="#2c3e50">{escape(label)}</text>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)
 
 
 _STYLE = """

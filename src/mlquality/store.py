@@ -134,6 +134,62 @@ def _snapshot_payload(result: AssessmentResult, model: QualityModel) -> dict:
     }
 
 
+# the text json.dumps(sort_keys=True, indent=2) lays a payload out as: one
+# template per row kind, one for the rest
+_SCORE_ROW = '{\n      "characteristic": %s,\n      "score": %s\n    }'
+_COLOR_ROW = '{\n      "color": %s,\n      "sub_characteristic": %s\n    }'
+_GAP_ROW = '{\n      "gap": %s,\n      "reason": %s,\n      "sub_characteristic": %s\n    }'
+_ADVICE_ROW = '{\n      "reason": %s,\n      "remediation": %s,\n      "sub_characteristic": %s\n    }'
+_SNAPSHOT_LAYOUT = (
+    '{\n  "characteristic_scores": %s,\n  "colors": %s,\n  "criticality": {\n'
+    '    "justification": %s,\n    "level": %s\n  },\n  "gaps": %s,\n  "identity": {\n'
+    '    "date": %s,\n    "family_members": %s,\n    "system": %s,\n    "team": %s\n  },\n'
+    '  "maturity": %s,\n  "model_fingerprint": %s,\n  "quality_score": %s,\n'
+    '  "recommendations": %s,\n  "required_maturity": %s,\n  "snapshot_version": %s\n}\n'
+)
+# a string as json.dumps(ensure_ascii=False) writes it: C `_json`'s, where built
+_quote = json.encoder.encode_basestring
+
+
+def _json_int(value: int) -> str:
+    """`value` as json writes an int; a bool, a float or any other type
+    raises TypeError rather than be written otherwise."""
+    if type(value) is not int:
+        raise TypeError(f"snapshot numbers must be int, not {type(value).__name__}")
+    return int.__repr__(value)
+
+
+def _json_list(items: list[str], depth: int = 1) -> str:
+    """Laid-out `items` as a list `depth` levels deep."""
+    inner = "\n" + "  " * (depth + 1)
+    return f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]" if items else "[]"
+
+
+def _snapshot_text(payload: dict) -> str:
+    """The snapshot file of a payload `_snapshot_payload` built, laid out
+    directly: `json.dumps(payload, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"`, byte for byte."""
+    q, identity, criticality = _quote, payload["identity"], payload["criticality"]
+    return _SNAPSHOT_LAYOUT % (
+        _json_list([_SCORE_ROW % (q(row["characteristic"]), _json_int(row["score"]))
+                    for row in payload["characteristic_scores"]]),
+        _json_list([_COLOR_ROW % (q(row["color"]), q(row["sub_characteristic"]))
+                    for row in payload["colors"]]),
+        q(criticality["justification"]), _json_int(criticality["level"]),
+        _json_list([_GAP_ROW % (q(row["gap"]), q(row["reason"]), q(row["sub_characteristic"]))
+                    for row in payload["gaps"]]),
+        q(identity["date"]), _json_list([q(name) for name in identity["family_members"]], 2),
+        q(identity["system"]), q(identity["team"]),
+        _json_int(payload["maturity"]), q(payload["model_fingerprint"]),
+        _json_int(payload["quality_score"]),
+        _json_list([
+            _ADVICE_ROW % (q(row["reason"]), q(row["remediation"]), q(row["sub_characteristic"]))
+            for row in payload["recommendations"]
+        ]),
+        _json_int(payload["required_maturity"]), _json_int(payload["snapshot_version"]),
+    )
+
+
 # the keys `_snapshot_payload` writes: in the snapshot itself, in its two
 # nested mappings, and in each row of its four lists
 _WRITTEN_KEYS = {
@@ -294,19 +350,21 @@ def _result_from_payload(payload: dict) -> AssessmentResult:
     )
 
 
-def write_text_atomic(path: Path, content: str) -> None:
-    """Write UTF-8 text to a temporary file, then move it into place, so
-    that a reader never sees a half-written file.
+def write_text_atomic(path: Path, content: str | bytes) -> None:
+    """Write text as UTF-8, or bytes as they are, to a temporary file, then
+    move it into place, so that a reader never sees a half-written file.
 
     Each call creates its own temporary name next to `path`, exclusively,
     so concurrent writers never overwrite or move each other's temporary
-    file. It is created with the mode a plain open would give it.
+    file. It is created with the mode a plain open would give it. Text
+    that UTF-8 cannot encode raises before the temporary file is made.
     """
+    data = content.encode("utf-8") if isinstance(content, str) else content
     tmp = path.parent / f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     descriptor = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(content)
+        with open(descriptor, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -354,33 +412,34 @@ def persist_assessment(
 
     All three files are deterministic functions of the result and model,
     so persisting the same inputs twice leaves identical bytes on disk.
-    The snapshot is written last, once the other two are in place.
-    Whatever the target directory holds is replaced; `check_identity`
-    first refuses a directory holding another team's or system's result.
+    All three are built and encoded first: text UTF-8 cannot encode (a lone
+    surrogate, from a command line that is not UTF-8) raises StoreError
+    before the directory is made. The snapshot is written last, once the
+    other two are in place. Whatever the target directory holds is
+    replaced; `check_identity` first refuses a directory holding another
+    team's or system's result.
     """
     assessment = result.assessment
     directory = date_directory(root, assessment.team, assessment.system_id, assessment.date)
-    payload = _snapshot_payload(result, model)
+    texts = [
+        (GAPS_FILE, serialize_assessment(assessment, model)),
+        (REPORT_FILE, render_report(result, model).html),
+        # last: the snapshot is what marks the directory complete
+        (SNAPSHOT_FILE, _snapshot_text(_snapshot_payload(result, model))),
+    ]
+    try:
+        files = [(directory / name, text.encode("utf-8")) for name, text in texts]
+    except UnicodeEncodeError as exc:
+        raise StoreError(
+            f"cannot store team {assessment.team!r} system {assessment.system_id!r} "
+            f"on {assessment.date}: {exc.object[exc.start:exc.end]!r} is not encodable as UTF-8"
+        ) from None
     directory.mkdir(parents=True, exist_ok=True)
-
-    gaps_csv = directory / GAPS_FILE
-    snapshot = directory / SNAPSHOT_FILE
-    report = directory / REPORT_FILE
-    write_text_atomic(gaps_csv, serialize_assessment(assessment, model))
-    write_text_atomic(report, render_report(result, model).html)
-    # last: the snapshot is what marks the directory complete
-    write_text_atomic(
-        snapshot,
-        json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-    )
+    for path, content in files:
+        write_text_atomic(path, content)
+    (gaps_csv, _), (report, _), (snapshot, _) = files
     return StoredAssessment(
-        team=assessment.team,
-        system=assessment.system_id,
-        date=assessment.date,
-        directory=directory,
-        gaps_csv=gaps_csv,
-        snapshot=snapshot,
-        report=report,
+        assessment.team, assessment.system_id, assessment.date, directory, gaps_csv, snapshot, report
     )
 
 

@@ -10,6 +10,8 @@ import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlquality
 from conftest import make_assessment
 from mlquality.cli import main
 from mlquality.errors import StoreError
@@ -1085,6 +1088,55 @@ def test_registry_that_is_not_utf8_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"{bad}: not valid UTF-8: byte 0xc3 at offset {offset}\n"
     )
+
+
+def _mlq_process(*argv: str | bytes) -> subprocess.CompletedProcess:
+    """`mlq *argv` in a fresh interpreter that decodes its command line as
+    UTF-8, so a byte that is not UTF-8 reaches it as a lone surrogate."""
+    src = str(Path(mlquality.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONUTF8": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "mlquality.cli", *argv],
+        capture_output=True, env=env, check=False,
+    )
+
+
+UNSTORABLE = (
+    "cannot store team {team!r} system 's' on 2026-01-05: "
+    "'\\udcff' is not encodable as UTF-8\n"
+)
+
+
+def test_assess_with_a_team_that_is_not_utf8_writes_nothing(tmp_path, gaps_csv):
+    store = tmp_path / "store"
+    child = _mlq_process(
+        "assess", "--gaps", str(gaps_csv), "--team", b"\xff", "--system", "s",
+        "--date", "2026-01-05", "--criticality", "3", "--store", str(store),
+    )
+    assert (child.returncode, child.stdout) == (1, b"")
+    assert child.stderr.decode() == UNSTORABLE.format(team="\udcff")
+    assert not store.exists()
+
+
+def test_re_assess_with_a_family_that_is_not_utf8_keeps_all_three_files(tmp_path, gaps_csv):
+    store = tmp_path / "store"
+    argv = [
+        "assess", "--team", "t", "--system", "s", "--date", "2026-01-05",
+        "--criticality", "3", "--store", str(store),
+    ]
+    assert main([*argv, "--gaps", str(gaps_csv)]) == 0
+    directory = store / "t" / "s" / "2026-01-05"
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+    changed = tmp_path / "changed.csv"
+    changed.write_text(ALL_NO_CSV.replace("verified", "checked again"))
+    child = _mlq_process(*argv, "--gaps", str(changed), "--family", b"s,\xff")
+    assert (child.returncode, child.stdout) == (1, b"")
+    assert child.stderr.decode() == UNSTORABLE.format(team="t")
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
 
 
 def test_report_write_failure_keeps_the_previous_file(tmp_path, registry, monkeypatch, capsys):

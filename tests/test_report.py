@@ -173,3 +173,72 @@ def test_report_escapes_untrusted_text(model):
 @example("&amp; <b class=\"x\">it's</b> &#x27;")
 def test_escape_equals_html_escape(text):
     assert escape(text) == html.escape(text, quote=True)
+
+
+def _per_call_radar(scores: dict[Characteristic, int]) -> str:
+    """The radar as it was drawn in full on every call, before its frame
+    was built once: the reference the cached frame must reproduce."""
+
+    def axis_angle(index: int) -> float:
+        return math.radians(90.0 - index * 360.0 / 7.0)
+
+    def axis_point(index: int, radius: float) -> tuple[float, float]:
+        angle = axis_angle(index)
+        return _CENTER_X + radius * math.cos(angle), _CENTER_Y - radius * math.sin(angle)
+
+    def fmt(value: float) -> str:
+        return f"{value:.2f}"
+
+    parts = [
+        '<svg class="radar" role="img" width="460" height="380" '
+        'viewBox="0 0 460 380" xmlns="http://www.w3.org/2000/svg">'
+    ]
+    for fraction in (0.25, 0.5, 0.75, 1.0):
+        ring = " ".join(
+            f"{fmt(x)},{fmt(y)}"
+            for x, y in (axis_point(k, _RADIUS * fraction) for k in range(7))
+        )
+        parts.append(
+            f'<polygon points="{ring}" fill="none" stroke="#d5d8dc" stroke-width="1"/>'
+        )
+    for k in range(7):
+        x, y = axis_point(k, _RADIUS)
+        parts.append(
+            f'<line x1="{fmt(_CENTER_X)}" y1="{fmt(_CENTER_Y)}" '
+            f'x2="{fmt(x)}" y2="{fmt(y)}" stroke="#d5d8dc" stroke-width="1"/>'
+        )
+    vertices = " ".join(
+        f"{fmt(x)},{fmt(y)}"
+        for x, y in (
+            axis_point(k, _RADIUS * scores[axis] / 100.0)
+            for k, axis in enumerate(RADAR_AXIS_ORDER)
+        )
+    )
+    parts.append(
+        f'<polygon points="{vertices}" fill="#2e86c1" fill-opacity="0.35" '
+        'stroke="#2e86c1" stroke-width="2"/>'
+    )
+    for k, axis in enumerate(RADAR_AXIS_ORDER):
+        x, y = axis_point(k, _RADIUS + 16)
+        cos = math.cos(axis_angle(k))
+        if abs(cos) < 0.15:
+            anchor = "middle"
+        elif cos > 0:
+            anchor = "start"
+        else:
+            anchor = "end"
+        label = f"{axis.display_name} ({scores[axis]})"
+        parts.append(
+            f'<text x="{fmt(x)}" y="{fmt(y + 4)}" text-anchor="{anchor}" '
+            f'font-size="13" fill="#2c3e50">{escape(label)}</text>'
+        )
+    parts.append("</svg>")
+    return "".join(parts)
+
+
+@given(st.lists(st.integers(0, 100), min_size=7, max_size=7))
+@example([0] * 7)
+@example([100] * 7)
+def test_radar_equals_the_per_call_drawing(values):
+    scores = dict(zip(RADAR_AXIS_ORDER, values))
+    assert render_radar(scores) == _per_call_radar(scores)

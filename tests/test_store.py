@@ -12,6 +12,7 @@ import logging
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,10 +21,11 @@ from hypothesis import strategies as st
 import mlquality.store as store
 from conftest import DATE, make_assessment
 from test_cli_fuzz import LEAVES, _edit_json
+from mlquality.assessment import Assessment, GapEntry
 from mlquality.errors import StoreError
 from mlquality.model import Gap, default_model, load_quality_model
 from mlquality.report import render_report
-from mlquality.scoring import GapColor, evaluate
+from mlquality.scoring import BusinessCriticality, CriticalityLevel, GapColor, evaluate
 from mlquality.store import (
     HistoryRow,
     check_identity,
@@ -784,3 +786,91 @@ def test_written_keys_are_the_keys_the_store_writes():
         for key in ("characteristic_scores", "gaps", "colors", "recommendations"):
             assert all(store._WRITTEN_KEYS[key] == row.keys() for row in payload[key])
     assert ORACLE_PAYLOADS[1]["recommendations"], "a payload with a row of every list"
+
+
+# --- the snapshot's fixed layout against json.dumps ---------------------------
+
+# every category, lone surrogates among them, and the characters JSON
+# escapes or that need care: quotes, backslashes, controls, line separators,
+# astral characters
+SNAPSHOT_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
+                         "\udcff", "\ud800", "\U0001f600", "\U0010ffff"]),
+    ),
+    max_size=8,
+)
+
+
+@st.composite
+def stored_payloads(draw) -> dict:
+    """What `_snapshot_payload` builds for a generated result: any text in
+    every free-text field, families of several members, and all-green
+    results, which recommend nothing."""
+    model = ORACLE_MODEL
+    system = draw(SNAPSHOT_TEXT)
+    others = draw(st.lists(SNAPSHOT_TEXT.filter(lambda name: name != system), max_size=3))
+    if draw(st.booleans()):
+        gaps = {sub_id: Gap.NO_GAP for sub_id in model.ids}
+    else:
+        gaps = {sub_id: draw(st.sampled_from(model.legal_gaps(sub_id))) for sub_id in model.ids}
+    assessment = Assessment(
+        team=draw(SNAPSHOT_TEXT),
+        system_id=system,
+        date=draw(st.dates(dt.date(1, 1, 1), dt.date(9999, 12, 31))),
+        gaps={
+            sub_id: GapEntry(gap=gap, reason=draw(SNAPSHOT_TEXT))
+            for sub_id, gap in gaps.items()
+        },
+        family_members=(*others, system) if others else (),
+        criticality=BusinessCriticality(
+            level=draw(st.sampled_from(CriticalityLevel)),
+            justification=draw(SNAPSHOT_TEXT),
+        ),
+    )
+    return store._snapshot_payload(evaluate(assessment, model), model)
+
+
+def _dumped(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("quote", ["c", "python"])
+@settings(max_examples=150, deadline=None)
+@given(payload=stored_payloads())
+@example(payload=ORACLE_PAYLOADS[0])  # all green, no recommendations
+@example(payload=ORACLE_PAYLOADS[1])  # a gap of every color
+def test_snapshot_text_is_what_json_dumps_writes(payload, quote):
+    """Byte for byte, with the C string escaping of `_json` and with the
+    pure-Python fallback used where `_json` is not built."""
+    if quote == "c":
+        assert store._quote is json.encoder.encode_basestring
+        assert store._snapshot_text(payload) == _dumped(payload)
+        return
+    fallback = json.encoder.py_encode_basestring
+    with mock.patch.object(json.encoder, "encode_basestring", fallback), \
+            mock.patch.object(store, "_quote", fallback):
+        assert store._snapshot_text(payload) == _dumped(payload)
+
+
+# every place the layout writes an integer: the path to it in the payload
+INTEGER_SLOTS = [
+    ("snapshot_version",), ("quality_score",), ("maturity",), ("required_maturity",),
+    ("criticality", "level"), ("characteristic_scores", 3, "score"),
+]
+
+
+@pytest.mark.parametrize("slot", INTEGER_SLOTS)
+@pytest.mark.parametrize("number", [float, bool])
+def test_snapshot_text_refuses_a_number_that_is_not_an_int(slot, number):
+    """json.dumps writes `3.0` or `true` there; the layout raises instead
+    of writing text that differs from it."""
+    payload = copy.deepcopy(ORACLE_PAYLOADS[1])
+    *parents, key = slot
+    mapping = payload
+    for parent in parents:
+        mapping = mapping[parent]
+    mapping[key] = number(mapping[key])
+    with pytest.raises(TypeError, match=f"not {number.__name__}"):
+        store._snapshot_text(payload)
