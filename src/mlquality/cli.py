@@ -270,12 +270,12 @@ def cmd_history(args) -> int:
 
 def cmd_fleet(args) -> int:
     _bind("analytics")
+    if (args.before is None) != (args.after is None):
+        raise UsageError("--before and --after must be given together")
     store = _store_root(args)
     rows, cohorts = fleet_scan(store, args.before, args.after)
     if not rows:
         raise MlQualityError(f"store {store} contains no assessments")
-    if (args.before is None) != (args.after is None):
-        raise UsageError("--before and --after must be given together")
     views = {
         "distribution.csv": distribution_csv(score_distribution(rows)),
         "trend.svg": render_trend_chart(rows),

@@ -230,9 +230,15 @@ def _refuse_keys(mapping: dict, where: str, written: frozenset[str]) -> None:
 
 
 def _text(mapping: dict, key: str) -> str:
-    value = mapping[key]
+    return _as_text(mapping[key], key)
+
+
+def _as_text(value, what: str) -> str:
+    """`value`, if it is text that UTF-8, which reports are written in, can encode."""
     if not isinstance(value, str):
-        raise TypeError(f"{key} must be text, not {type(value).__name__}")
+        raise TypeError(f"{what} must be text, not {type(value).__name__}")
+    if not value.isascii() and re.search("[\ud800-\udfff]", value):
+        raise ValueError(f"{what} holds a lone surrogate, which UTF-8 cannot encode")
     return value
 
 
@@ -289,9 +295,9 @@ def _history_row(payload: dict) -> HistoryRow:
 
 def _result_from_payload(payload: dict) -> AssessmentResult:
     listed = _history_row(payload)
-    family = payload["identity"]["family_members"]
-    if not isinstance(family, list) or not all(isinstance(name, str) for name in family):
-        raise TypeError("family_members must be a list of text")
+    family = _rows(payload["identity"], "family_members")
+    for name in family:
+        _as_text(name, "family_members")
     if not family:
         raise ValueError("family_members must name at least one system")
     criticality = BusinessCriticality(
@@ -552,7 +558,10 @@ def load_assessment(
     date: dt.date | None = None,
     model: QualityModel | None = None,
 ) -> AssessmentResult:
-    """Load a stored result; with no date, the latest one.
+    """Load the stored result of this team and system; with no date, the
+    latest one. A snapshot recording another team or system, as one of
+    `a_b` may in the directory of `a b`, is not theirs; one whose team or
+    system is not text is, so that its fault is reported.
 
     When a model is supplied its fingerprint is compared against the one
     recorded in the snapshot; a mismatch logs a warning but still loads,
@@ -561,16 +570,24 @@ def load_assessment(
     """
     if date is None:
         # one directory, as team and system are both given; newest first
-        ((directory, dates),) = _system_directories(root, team, system)
-        found = (os.path.join(directory, name, SNAPSHOT_FILE) for name in reversed(dates))
-        snapshot = next((path for path in found if os.path.exists(path)), None)
-        if snapshot is None:
-            raise StoreError(f"not found: no assessments under {directory}")
+        ((place, dates),) = _system_directories(root, team, system)
+        found = [os.path.join(place, name, SNAPSHOT_FILE) for name in reversed(dates)]
+        found = [path for path in found if os.path.exists(path)]
+        if not found:
+            raise StoreError(f"not found: no assessments under {place}")
     else:
-        snapshot = snapshot_path(root, team, system, date)
-    if not os.path.isfile(snapshot):
-        raise StoreError(f"not found: {snapshot}")
-    payload = _read_snapshot(snapshot)
+        place = snapshot_path(root, team, system, date)
+        found = [place]
+    for snapshot in found:
+        if not os.path.isfile(snapshot):
+            raise StoreError(f"not found: {snapshot}")
+        payload = _read_snapshot(snapshot)
+        if _records(payload, team, system):
+            break
+    else:
+        raise StoreError(
+            f"not found: {place} holds no assessment of team {team!r} system {system!r}"
+        )
     if model is not None:
         recorded = payload.get("model_fingerprint")
         current = model_fingerprint(model)
@@ -589,6 +606,15 @@ def load_assessment(
             + attribute_differences(model.ids, result.colors)
         )
     return result
+
+
+def _records(payload: dict, team: str, system: str) -> bool:
+    """False only where `payload` records, as text, another team or system."""
+    try:
+        identity = payload["identity"]
+        return (_text(identity, "team"), _text(identity, "system")) == (team, system)
+    except (KeyError, TypeError, ValueError):
+        return True
 
 
 def attribute_differences(expected: Sequence[str], found: Collection[str]) -> str:
@@ -684,14 +710,15 @@ def fleet_scan(
     `snapshot_path(root, team, system, date)`: a no-gap mask, or a
     StoreError. Only the directory being read keeps payloads: when it is
     done, those still some identity's newest are rebuilt, and the outcome
-    is kept by path. A pick read elsewhere (moved by hand, say) is loaded
-    after the scan; each path is rebuilt at most once.
+    is kept by identity and path. A pick read elsewhere (moved by hand, say)
+    is loaded after the scan; each path is rebuilt at most once per identity.
     """
     rows: list[HistoryRow] = []
     cohorts = before is not None and after is not None
     # per (cohort, team, system): the date and path of its newest snapshot so far
     newest: dict[tuple[bool, str, str], tuple[dt.date, str]] = {}
-    outcomes: dict[str, GapMask | StoreError] = {}
+    # by team, system and path: a path may hold another identity's snapshot
+    outcomes: dict[tuple[str, str, str], GapMask | StoreError] = {}
     for directory in _system_directories(root):
         # the payloads of this directory's candidates, by the key they lead
         fresh: dict[tuple[bool, str, str], tuple[str, dict]] = {}
@@ -706,9 +733,9 @@ def fleet_scan(
                 if member and (key not in newest or row.date > newest[key][0]):
                     newest[key] = row.date, path
                     fresh[key] = path, payload
-        for path, payload in fresh.values():
-            if path not in outcomes:
-                outcomes[path] = _outcome(_checked_result, path, payload)
+        for (_, team, system), (path, payload) in fresh.items():
+            if (team, system, path) not in outcomes:
+                outcomes[team, system, path] = _outcome(_checked_result, path, payload)
     rows.sort(key=_history_order)
     if not cohorts:
         return rows, None
@@ -721,9 +748,9 @@ def fleet_scan(
         except StoreError as exc:
             # not path-safe, so never stored under this identity
             return read_at, exc
-        if path not in outcomes:
-            outcomes[path] = _outcome(load_assessment, root, team, system, date)
-        return path, outcomes[path]
+        if (team, system, path) not in outcomes:
+            outcomes[team, system, path] = _outcome(load_assessment, root, team, system, date)
+        return path, outcomes[team, system, path]
 
     picks = sorted(newest)
     return rows, (

@@ -3,16 +3,26 @@ YAML documents: registry snapshots, overrides, usage facts and model
 configurations.
 
 libyaml's parser is used when PyYAML was built with it, and PyYAML's
-pure-Python parser otherwise. Both feed the same safe constructor, so they
-return equal documents; only the wording of syntax error messages differs.
-PyYAML is imported on the first parse, not with this module, so commands
-that read no YAML do not load it; `LOADER`, the parser class in use, is
-resolved then too.
+pure-Python parser otherwise. Either one's events go to PyYAML's composer
+and safe constructor, so they return equal documents; only the wording of
+syntax error messages differs. PyYAML is imported on the first parse, not
+with this module, so commands that read no YAML do not load it; `LOADER`,
+the parser class in use, is resolved then too.
+
+One walker composes every document, a root mapping with no anchor entry
+by entry. `load_yaml_records` streams a `key` entry whose value is a
+sequence with no anchor or tag but `!!seq`, in any layout: each item is
+built and converted as soon as it is composed. Anchors are kept across
+items; any other value or root is composed whole. With at most one fault
+the message is the whole-document parse's. Of several, a syntax or
+composer fault wins over a value the constructor cannot build (the
+timestamp 2026-13-01, say), and a value fault outside the streamed list
+over one in it; in the list, the first item's is named, where the
+whole-document parse builds level by level and may name a later one.
 """
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 from typing import Any, Callable
 
@@ -54,121 +64,164 @@ def load_yaml(text: str, error: Callable[[str], Exception]) -> Any:
     message starting "invalid YAML:" and naming the line and column where
     the parser could tell.
     """
-    import yaml
-
-    try:
-        return _load(text)
-    except (yaml.YAMLError, ValueError) as exc:
-        # ValueError also covers text the parser cannot encode, e.g. a
-        # lone surrogate, which only libyaml rejects this way
-        raise error(f"invalid YAML: {exc}") from exc
+    return load_yaml_records(text, None, error, None)
 
 
 def load_yaml_records(
-    text: str, key: str, error: Callable[[str], Exception], convert: Callable[[int, Any], Any]
+    text: str, key: str | None, error: Callable[[str], Exception], convert: Callable | None
 ) -> Any:
     """`load_yaml(text, error)`, with each item of the list under the
-    top-level `key` replaced by `convert(index, item)`, and a block sequence
-    there parsed one item at a time where splitting cannot change the result.
-
-    That is where a column-0 `key:` line ends the top-level keys and is
-    followed only by comments and blanks, then column-0 `- ` items, indented
-    lines, comments and blanks; where no anchor name is written twice; and
-    where the text holds no directive or document marker and no line break
-    but `\\n`. Each item must then parse on its own to one mapping; an alias
-    to an anchor outside the item, merge keys included, fails that parse,
-    while tags read alike either way. Parsed so, each item is converted as
-    soon as it parses and only the result is kept: one item's node graph and
-    raw mapping are in memory at a time, never the whole list. Any other
-    text, or an item that does not parse to one mapping, is parsed as one
-    document by `load_yaml`, whose list under `key`, if the document is a
-    mapping holding one, is then converted item by item; results and
-    messages are the same either way. Items converted before such a fallback
-    are converted again, so `convert` must neither raise nor have side
-    effects.
-    """
-    document = _load_split(text, key, convert)
-    if document is None:
-        document = load_yaml(text, error)
-        if isinstance(document, dict) and isinstance(document.get(key), list):
-            document[key] = [convert(index, item) for index, item in enumerate(document[key])]
-    return document
-
-
-def _load_split(text: str, key: str, convert: Callable[[int, Any], Any]) -> dict | None:
-    """The document `text` is, parsed as the text up to the first `key`
-    item and each item on its own, with the items converted; None where the
-    layout does not allow that, or where the text before does not parse to
-    a mapping that ends with `key:` or an item to one mapping."""
-    start = re.search(rf"(?m)^{re.escape(key)}:\n(?: *(?:#.*)?\n)*(?=- )", text)
-    if not start or re.search(_SPLIT_OFF, text):
-        return None
-    anchors = re.findall(_ANCHOR, text)
-    if len(set(anchors)) < len(anchors):
-        return None
-    begin = start.end()
-    if re.compile(_OTHER_LINE).search(text, begin):
-        return None
-    document = _parsed(text[:begin])
-    if not (isinstance(document, dict) and key in document and document[key] is None):
-        return None
-    starts = [item.start() for item in re.compile(_ITEM).finditer(text, begin)]
-    records = []
-    for index, (a, b) in enumerate(zip(starts, [*starts[1:], len(text)])):
-        item = _parsed(text[a:b])
-        if not (isinstance(item, list) and len(item) == 1 and isinstance(item[0], dict)):
-            return None
-        # popped, so the raw mapping is freed as soon as it is converted
-        records.append(convert(index, item.pop()))
-    document[key] = records
-    return document
-
-
-def _parsed(text: str) -> Any:
-    """`_load(text)`, or None where `text` does not parse."""
+    top-level `key` replaced by `convert(index, item)`: as it is composed
+    where the list streams, else once the document is built. `convert`
+    runs once per item of every `key` list written; the last list wins."""
     import yaml
 
     try:
-        return _load(text)
-    except (yaml.YAMLError, ValueError):
-        return None
-
-
-# patterns compiled on first use, which `re` caches, not on import
-# what could tie a sequence item to text outside it: directives and
-# document markers, and the line breaks YAML reads besides "\n"
-_SPLIT_OFF = r"(?m)[\r\x85\u2028\u2029\ufeff]|^(?:%|---|\.\.\.)"
-# what may be an anchor's name: a word after "&" where a token can start,
-# so "R&D" holds none, while one in quotes or a comment may count; a name
-# anchored twice fails the whole document ("found duplicate anchor") but
-# not each of two items on its own
-_ANCHOR = r"(?<![^\s\[{,:?-])&([\w-]+)"
-# a line that is not a column-0 sequence item, indented, a comment or blank
-_OTHER_LINE = r"(?m)^(?!- | |#|$)"
-_ITEM = r"(?m)^- "
+        loader = _parser(text)
+        try:
+            root, streamed, failure = _compose(loader, key, convert)
+            if root is None:
+                return None
+            # each streamed list stands in the root as its records
+            loader.constructed_objects.update(streamed)
+            document = _build(loader, root)
+        except RecursionError as exc:
+            # PyYAML's composer recurses once per level of nesting
+            mark = loader.peek_event().start_mark
+            raise yaml.composer.ComposerError(None, None, "nested too deeply", mark) from exc
+        finally:
+            loader.dispose()
+        if failure is not None:
+            raise failure
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:
+        # UnicodeEncodeError: text libyaml cannot take, e.g. a lone surrogate
+        raise error(f"invalid YAML: {exc}") from exc
+    if (
+        convert is not None
+        and isinstance(document, dict)
+        and isinstance(document.get(key), list)
+        and all(document[key] is not records for records in streamed.values())
+    ):
+        document[key] = [convert(index, item) for index, item in enumerate(document[key])]
+    return document
 
 
 def compose_yaml(text: str) -> Any:
     """The node tree of one YAML document already known to parse, where
     each scalar keeps the text it was written as."""
+    return _compose(_parser(text), None, None)[0]
+
+
+class _Slices:
+    """`text` for libyaml to read and encode a slice at a time, where it
+    would encode a `str` whole first; named as libyaml names a `str`."""
+
+    name = "<unicode string>"
+
+    def __init__(self, text: str) -> None:
+        self.text, self.offset = text, 0
+
+    def read(self, size: int) -> bytes:
+        start = self.offset
+        self.offset += size
+        try:
+            return self.text[start : self.offset].encode("utf-8")
+        except UnicodeEncodeError as exc:  # located in the whole text
+            raise UnicodeEncodeError(
+                exc.encoding, self.text, start + exc.start, start + exc.end, exc.reason
+            ) from None
+
+
+def _parser(text: str) -> Any:
+    """A `LOADER` over `text` that composes with PyYAML's composer."""
     import yaml
 
-    return yaml.compose(text, Loader=_loader())
+    base = _loader()
+    # no path resolver is registered on a safe loader, so the composer's two
+    # resolver calls per node do nothing: skipped, they cost no parse time
+    skip = dict.fromkeys(["descend_resolver", "ascend_resolver"], lambda *args: None)
+    if issubclass(base, yaml.reader.Reader):
+        # PyYAML's reader quotes the text in its messages; it has the composer
+        return type("Walker", (base,), skip)(text)
+    # libyaml composes only in C, and whole
+    loader = type("Walker", (base, yaml.composer.Composer), skip)(_Slices(text))
+    loader.anchors = {}
+    return loader
 
 
-def _load(text: str) -> Any:
+def _compose(loader: Any, key: str | None, convert) -> tuple[Any, dict, Exception | None]:
+    """The root node of the stream's one document, None if it has none; the
+    records of each streamed `key` list, by the empty node standing in for
+    it in the root; the fault that stopped building items, if one did."""
+    import yaml
+    from yaml.events import MappingEndEvent, MappingStartEvent, SequenceEndEvent, StreamEndEvent
+    from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+
+    root, streamed, failure, seq = None, {}, None, "tag:yaml.org,2002:seq"
+    loader.get_event()  # stream start
+    if not loader.check_event(StreamEndEvent):
+        loader.get_event()  # document start
+        event = loader.peek_event()
+        if not isinstance(event, MappingStartEvent) or event.anchor is not None:
+            root = loader.compose_node(None, None)
+        else:
+            # what `compose_node` does for a mapping, one entry at a time
+            loader.get_event()
+            tag = event.tag
+            if tag in (None, "!"):
+                tag = loader.resolve(MappingNode, None, event.implicit)
+            root = MappingNode(tag, [], event.start_mark, None, flow_style=event.flow_style)
+            while not loader.check_event(MappingEndEvent):
+                entry = loader.compose_node(root, None)
+                event = loader.peek_event()
+                if not (
+                    isinstance(entry, ScalarNode)
+                    and (entry.tag, entry.value) == ("tag:yaml.org,2002:str", key)
+                    and isinstance(event, yaml.SequenceStartEvent)
+                    and event.anchor is None
+                    and event.tag in (None, "!", seq)
+                ):
+                    root.value.append((entry, loader.compose_node(root, entry)))
+                    continue
+                loader.get_event()
+                value = SequenceNode(seq, [], event.start_mark, None, flow_style=event.flow_style)
+                streamed[value], index = [], 0
+                while not loader.check_event(SequenceEndEvent):
+                    item = loader.compose_node(value, index)
+                    if failure is None:
+                        try:
+                            built = _build(loader, item)
+                        except yaml.YAMLError as exc:
+                            failure = exc  # composing goes on: a syntax error wins
+                        else:
+                            streamed[value].append(convert(index, built))
+                    index += 1
+                value.end_mark = loader.get_event().end_mark
+                root.value.append((entry, value))
+            root.end_mark = loader.get_event().end_mark
+        loader.get_event()  # document end
+    if not loader.check_event(StreamEndEvent):
+        raise yaml.composer.ComposerError(
+            "expected a single document in the stream", root.start_mark,
+            "but found another document", loader.get_event().start_mark,
+        )
+    return root, streamed, failure
+
+
+def _build(loader: Any, node: Any) -> Any:
+    """`node` built by the safe constructor."""
     import yaml
 
-    loader = _loader()(text)
     try:
-        return loader.get_single_data()
+        return loader.construct_document(node)
     except ValueError as exc:
         # a scalar the resolver accepted but cannot build, such as the
         # timestamp 2026-13-01; the node under construction when it failed
         # is the last one the constructor entered
-        node = next(reversed(loader.recursive_objects), None)
+        failing = next(reversed(loader.recursive_objects), None)
         raise yaml.constructor.ConstructorError(
-            None, None, str(exc), node.start_mark if node is not None else None
+            None, None, str(exc), failing.start_mark if failing is not None else None
         ) from exc
     finally:
-        loader.dispose()
+        # `construct_document` clears its state only when it succeeds
+        yaml.constructor.BaseConstructor.__init__(loader)

@@ -313,6 +313,23 @@ def test_fleet_with_half_a_cohort_is_usage_error(tmp_path, registry, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--before", "--after"])
+def test_fleet_with_half_a_cohort_is_refused_before_the_store_is_read(
+    tmp_path, monkeypatch, capsys, flag
+):
+    def no_scan(*args):
+        raise AssertionError("the store was read")
+
+    monkeypatch.setattr(mlquality.cli, "fleet_scan", no_scan)
+    code = main([
+        "fleet", "--store", str(tmp_path / "missing"), "--out", str(tmp_path / "out"),
+        flag, "2026-07-01",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.endswith("--before and --after must be given together\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_fleet_empty_store_fails(tmp_path, capsys):
     code = main([
         "fleet", "--store", str(tmp_path / "empty"), "--out", str(tmp_path / "out"),
@@ -698,6 +715,20 @@ MALFORMED_EDITS = [
         "ValueError: gaps[0] holds keys the store does not write: 'note'",
         id="added row key",
     ),
+    # JSON can escape a lone surrogate, which UTF-8 cannot encode
+    pytest.param(
+        lambda payload: {**payload, "identity": {**payload["identity"], "team": "\udcff"}},
+        "ValueError: team holds a lone surrogate, which UTF-8 cannot encode",
+        id="surrogate team",
+    ),
+    pytest.param(
+        lambda payload: {
+            **payload,
+            "gaps": [{**payload["gaps"][0], "reason": "x\udcff"}, *payload["gaps"][1:]],
+        },
+        "ValueError: reason holds a lone surrogate, which UTF-8 cannot encode",
+        id="surrogate reason",
+    ),
 ]
 HISTORY_READABLE = {
     "gap token",
@@ -720,6 +751,7 @@ HISTORY_READABLE = {
     "gap alias",
     "added top-level key",
     "added row key",
+    "surrogate reason",
 }
 
 
@@ -1330,6 +1362,76 @@ def test_assess_refuses_to_overwrite_another_team_in_a_shared_directory(
     assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
     assert assess("a b", "5") == 0
     assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+
+
+@pytest.mark.parametrize("date", [None, "2026-01-05"])
+def test_report_never_renders_another_identity_sharing_the_directory(
+    tmp_path, gaps_csv, capsys, date
+):
+    store = tmp_path / "store"
+    assert main([
+        "assess", "--gaps", str(gaps_csv), "--team", "a_b", "--system", "s",
+        "--date", "2026-01-05", "--criticality", "5", "--store", str(store),
+    ]) == 0
+    out = tmp_path / "r.html"
+    capsys.readouterr()
+    code = main([
+        "report", "--store", str(store), "--team", "a b", "--system", "s", "--out", str(out),
+        *(["--date", date] if date else []),
+    ])
+    assert code == 1
+    place = store / "a_b" / "s"
+    if date:
+        place = place / date / "snapshot.json"
+    assert capsys.readouterr().err == (
+        f"not found: {place} holds no assessment of team 'a b' system 's'\n"
+    )
+    assert not out.exists()
+    assert main(["history", "--store", str(store), "--team", "a b"]) == 0
+    assert capsys.readouterr().out == "team,system,date,quality_score,maturity\n"
+
+
+def test_report_without_a_date_takes_the_newest_of_its_own_identity(
+    tmp_path, gaps_csv, capsys
+):
+    store = tmp_path / "store"
+    for team, date, criticality in (("a b", "2026-01-05", "5"), ("a_b", "2026-02-05", "1")):
+        assert main([
+            "assess", "--gaps", str(gaps_csv), "--team", team, "--system", "s",
+            "--date", date, "--criticality", criticality, "--store", str(store),
+        ]) == 0
+    for team, date in (("a b", "2026-01-05"), ("a_b", "2026-02-05")):
+        out = tmp_path / f"{team}.html"
+        assert main([
+            "report", "--store", str(store), "--team", team, "--system", "s", "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == (store / "a_b" / "s" / date / "report.html").read_bytes()
+
+
+def test_fleet_never_picks_another_identity_sharing_the_directory(tmp_path, gaps_csv, capsys):
+    store = tmp_path / "store"
+
+    def assess(team, date):
+        assert main([
+            "assess", "--gaps", str(gaps_csv), "--team", team, "--system", "s",
+            "--date", date, "--criticality", "5", "--store", str(store),
+        ]) == 0
+
+    assess("a b", "2026-01-05")
+    # moved by hand under another date: what `a b`'s own path then holds is `a_b`'s
+    directory = store / "a_b" / "s"
+    (directory / "2026-01-05").rename(directory / "2026-01-01")
+    assess("a_b", "2026-01-05")
+    capsys.readouterr()
+    day = dt.date(2026, 1, 5)
+    got, expected = _fleet_and_reference(store, tmp_path / "fleet", day, day)
+    assert got == expected
+    code, err, _, views = got
+    assert (code, views) == (1, {})
+    assert err == (
+        f"not found: {directory / '2026-01-05' / 'snapshot.json'} holds no assessment "
+        "of team 'a b' system 's'\n"
+    )
 
 
 def test_infer_refuses_to_overwrite_another_system_in_a_shared_directory(tmp_path, capsys):

@@ -7,6 +7,7 @@ import dataclasses
 import datetime as dt
 import json
 import logging
+import tracemalloc
 
 import pytest
 import yaml
@@ -491,27 +492,69 @@ def test_a_registry_in_the_generators_layout_is_parsed_one_record_at_a_time(monk
     assert parsed.snapshot_date == dt.date(2026, 8, 1)
 
 
-def test_each_item_is_converted_before_the_next_one_parses(monkeypatch):
+LOADERS = pytest.mark.parametrize("loader", ["default", "pure"])
+
+
+def use_loader(monkeypatch, loader: str) -> None:
+    if loader == "pure":
+        monkeypatch.setattr(yamldoc, "LOADER", yaml.SafeLoader)
+
+
+@LOADERS
+def test_items_are_converted_before_a_later_item_parses(monkeypatch, loader):
+    use_loader(monkeypatch, loader)
     systems = [{"system_id": f"sys-{index}", "team": "t"} for index in range(5)]
-    text = "\n".join(layout_lines({"schema_version": 1, "systems": systems})) + "\n"
-    calls = []
-    load, read_entry = yamldoc._load, registry._read_entry
+    lines = layout_lines({"schema_version": 1, "systems": systems})
+    # the fourth item holds a syntax error
+    lines[lines.index('- system_id: "sys-3"') + 1] = '  team: "t" ]'
+    converted = []
+    with pytest.raises(SnapshotError, match="^invalid YAML: "):
+        yamldoc.load_yaml_records(
+            "\n".join(lines) + "\n", "systems", SnapshotError,
+            lambda index, item: converted.append(index),
+        )
+    assert converted == [0, 1, 2]
 
-    def logged_load(text):
-        calls.append("parse")
-        return load(text)
 
-    def logged_read_entry(index, item):
-        calls.append(f"convert {index}")
-        return read_entry(index, item)
+def registry_in_layout(layout: str, note: int, count: int = 2000) -> str:
+    """A snapshot of `count` systems, each with a note of `note` characters,
+    its items written at column 0, indented or in flow style."""
+    items = [
+        [f"system_id: s{index:05d}", "team: t", f"note: {'x' * note}"] for index in range(count)
+    ]
+    if layout == "flow":
+        body = ",\n".join(f"  {{{', '.join(fields)}}}" for fields in items)
+        return f"schema_version: 1\nsystems: [\n{body}\n]\n"
+    indent = "  " if layout == "indented" else ""
+    lines = [
+        f"{indent}{'  ' if position else '- '}{field}"
+        for fields in items
+        for position, field in enumerate(fields)
+    ]
+    return "schema_version: 1\nsystems:\n" + "\n".join(lines) + "\n"
 
-    monkeypatch.setattr(yamldoc, "_load", logged_load)
-    monkeypatch.setattr(registry, "_read_entry", logged_read_entry)
-    parsed = load_registry_snapshot(text)
-    assert [record.system_id for record in parsed.systems] == [s["system_id"] for s in systems]
-    # the head, then each item's parse followed at once by its conversion
-    steps = [step for index in range(5) for step in ("parse", f"convert {index}")]
-    assert calls == ["parse", *steps]
+
+@LOADERS
+@pytest.mark.parametrize("layout", ["column 0", "indented", "flow"])
+def test_the_list_is_parsed_in_bounded_memory_in_every_layout(monkeypatch, loader, layout):
+    """Only one item is held at a time, in 1 MB beside what the reader
+    keeps: a whole-document parse holds every item's nodes. libyaml's
+    reader keeps a slice at a time, so a UTF-8 copy of the whole text, at
+    more than 1 MB, would not fit either; PyYAML's own reader copies the
+    text (whose notes are short, as it scans a character at a time)."""
+    use_loader(monkeypatch, loader)
+    text = registry_in_layout(layout, note=600 if loader == "default" else 20)
+    tracemalloc.start()
+    try:
+        document = yamldoc.load_yaml_records(text, "systems", SnapshotError, lambda i, item: i)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert document == {"schema_version": 1, "systems": list(range(2000))}
+    if loader == "default":
+        assert len(text.encode()) > 1_000_000 > peak
+    else:
+        assert peak < len(text) + 1_000_000
 
 
 # values of every YAML type, including text that needs quoting, folding or
@@ -570,6 +613,11 @@ INSERTS = [
     "  anchored: &c 1\n  aliased: *c",
     "- {system_id: x, team: &d t}\n- {system_id: y, team: *d}",
     '- {system_id: x, team: &e t}\n- {system_id: y, team: t, "note":&e u}',
+    "  - {system_id: i, team: t}",
+    "systems: &s\n- {system_id: z, team: t}\ncopy: *s",
+    "systems: !!omap [{system_id: o}, {team: t}]",
+    "systems: !!pairs [{system_id: p}, {team: t}]",
+    "<<: {systems: [{system_id: m, team: t}]}",
 ]
 FORMS = ("layout", "block", "flow")
 
@@ -690,6 +738,26 @@ TEXT_CHANGES = ("anchor", "tail", "crlf", "bom")
 @example(systems=[{"system_id": "a", "team": "t"}], form="layout", width=80,
          inserts=[(5, '- {system_id: x, team: &e t}\n- {system_id: y, team: t, "note":&e u}')],
          changes=set())
+# indented items; `systems` anchored, and aliased under another key;
+# `!!omap` and `!!pairs` lists; `systems` written twice; `systems` given by
+# a merge key alone (the explicit key is hidden in a flow mapping), and by
+# a merge key beside the explicit one
+@example(systems=[], form="layout", width=80,
+         inserts=[(3, "  - system_id: a\n    team: t\n  - {system_id: b, team: t}")],
+         changes=set())
+@example(systems=[], form="layout", width=80,
+         inserts=[(3, "  &s\n  - system_id: a\n    team: t"), (4, "copy: *s")], changes=set())
+@example(systems=[], form="layout", width=80,
+         inserts=[(3, "  !!omap [{system_id: a}, {team: t}]")], changes=set())
+@example(systems=[], form="layout", width=80,
+         inserts=[(3, "  !!pairs\n  - system_id: a\n  - team: t")], changes=set())
+@example(systems=[{"system_id": "a", "team": "t"}], form="layout", width=80,
+         inserts=[(9, "systems:\n- {system_id: b, team: t}")], changes=set())
+@example(systems=[], form="layout", width=80,
+         inserts=[(2, "other: {a: 1,"), (4, "}\n<<: {systems: [{system_id: m, team: t}]}")],
+         changes=set())
+@example(systems=[{"system_id": "a", "team": "t"}], form="layout", width=80,
+         inserts=[(0, "<<: {systems: [{system_id: m, team: t}]}")], changes=set())
 def test_per_record_parse_equals_the_whole_document_parse(systems, form, width, inserts, changes):
     """Whatever the layout, `load_registry_snapshot` gives what the
     whole-document parse gives: the same snapshot, or the same message,
@@ -715,3 +783,42 @@ def test_per_record_parse_equals_the_whole_document_parse(systems, form, width, 
                 snapshot_as_one_document, text
             )
             assert outcome_of(document_by_records, text) == outcome_of(document_at_once, text)
+
+
+def pyyaml_outcome(text, loader):
+    """What PyYAML's own parse with `loader`, and its own composer, makes of
+    `text`: the document's repr, key order included, or a refusal."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except (yaml.YAMLError, ValueError):
+        return "refused"
+
+
+def walker_outcome(load, text):
+    try:
+        return repr(load(text))
+    except SnapshotError:
+        return "refused"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    systems=RECORDS,
+    form=st.sampled_from(FORMS),
+    inserts=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(INSERTS)), max_size=2),
+)
+def test_the_walker_builds_what_pyyaml_builds(systems, form, inserts):
+    """An independent reference for the walker, streaming or not: the
+    document PyYAML's own parse builds, or a refusal by both (their
+    messages may differ: libyaml's composer leaves anchor names out)."""
+    lines = render({"schema_version": 1, "snapshot_date": "2026-08-01", "systems": systems},
+                   form, 80)
+    for position, insert in inserts:
+        lines.insert(position % (len(lines) + 1), insert)
+    text = "\n".join(lines) + "\n"
+    for loader in (yamldoc.LOADER, yaml.SafeLoader):
+        expected = pyyaml_outcome(text, loader)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(yamldoc, "LOADER", loader)
+            assert walker_outcome(document_by_records, text) == expected
+            assert walker_outcome(document_at_once, text) == expected

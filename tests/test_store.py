@@ -567,16 +567,29 @@ def _glob_history(root: Path, team: str | None, system: str | None):
 
 
 def _glob_latest(root: Path, team: str, system: str) -> str:
-    """What `load_assessment` without a date gave over `_glob_snapshots`."""
+    """What `load_assessment` without a date gives over `_glob_snapshots`:
+    the newest snapshot that records this team and system as text, or one
+    whose team or system is not text."""
     try:
         system_dir = root / sanitize_component(team) / sanitize_component(system)
         candidates = _glob_snapshots(root, team, system)
         if not candidates:
             raise StoreError(f"not found: no assessments under {system_dir}")
-        if not candidates[-1].is_file():
-            raise StoreError(f"not found: {candidates[-1]}")
-        payload = store._read_snapshot(candidates[-1])
-        return repr(store._result_from_payload(payload))
+        for candidate in reversed(candidates):
+            if not candidate.is_file():
+                raise StoreError(f"not found: {candidate}")
+            payload = store._read_snapshot(candidate)
+            identity = payload.get("identity")
+            stored = [identity.get(key) for key in ("team", "system")] if isinstance(
+                identity, dict
+            ) else None
+            if stored is None or stored == [team, system] or not all(
+                isinstance(name, str) for name in stored
+            ):
+                return repr(store._result_from_payload(payload))
+        raise StoreError(
+            f"not found: {system_dir} holds no assessment of team {team!r} system {system!r}"
+        )
     except (StoreError, KeyError, TypeError, ValueError, OverflowError) as exc:
         return f"{type(exc).__name__}: {exc}"
 

@@ -14,6 +14,7 @@ from mlquality.errors import ModelConfigError, OverrideError, SnapshotError
 from mlquality.model import load_quality_model
 from mlquality.registry import load_overrides, load_registry_snapshot
 from test_cli import OVERRIDES_YAML, REGISTRY_YAML
+from test_registry import LOADERS, use_loader
 
 PURE = yaml.SafeLoader
 
@@ -107,6 +108,11 @@ REJECTED = {
     "python tag": (load_quality_model, "matrix:\n  testability: !!python/tuple [a]\n"),
     "YAML 2.0": (load_quality_model, "%YAML 2.0\n---\nmatrix: {}\n"),
     "wrong arity": (load_quality_model, "matrix:\n  testability: [min, full]\n"),
+    # libyaml reads the text a slice at a time: the position is still
+    # counted from the start of the whole text
+    "lone surrogate": (
+        load_registry_snapshot, HEAD + "systems: []\nnote: '" + "x" * 70_000 + "\udcff'\n"
+    ),
 }
 
 ERRORS = (SnapshotError, OverrideError, ModelConfigError)
@@ -171,3 +177,71 @@ def test_out_of_range_timestamp_is_located(monkeypatch):
         (problem,) = excinfo.value.problems
         assert problem.startswith("invalid YAML: month must be in 1..12")
         assert "line 2, column 16" in problem
+
+
+def problem_of(text):
+    with pytest.raises(SnapshotError) as excinfo:
+        load_registry_snapshot(text)
+    (problem,) = excinfo.value.problems
+    return problem
+
+
+def items(*entries):
+    return HEAD + "systems:\n" + "".join(f"  - {entry}\n" for entry in entries)
+
+
+@LOADERS
+def test_a_syntax_error_wins_over_an_earlier_item_that_cannot_be_built(monkeypatch, loader):
+    use_loader(monkeypatch, loader)
+    text = items("{system_id: a, team: t, since: 2026-13-01}", "{system_id: b, team: [t}")
+    problem = problem_of(text)
+    assert not problem.startswith("invalid YAML: month")
+    assert MARK.findall(problem)[-1][:2] == ("4", "28")
+
+
+@LOADERS
+def test_a_top_level_value_fault_wins_over_an_items(monkeypatch, loader):
+    use_loader(monkeypatch, loader)
+    text = items("{system_id: a, team: t, since: 2026-13-01}") + "snapshot_date: 2026-02-30\n"
+    problem = problem_of(text)
+    assert problem.startswith("invalid YAML: day is out of range for month")
+    assert "line 4, column 16" in problem
+
+
+@LOADERS
+def test_the_first_item_that_cannot_be_built_is_named(monkeypatch, loader):
+    """The whole-document constructor builds level by level, so it names
+    the later item's shallower fault; items are built one by one, so the
+    earlier item's deeper fault is named."""
+    use_loader(monkeypatch, loader)
+    text = items(
+        "{system_id: a, team: t, note: {since: 2026-13-01}}",
+        "{system_id: b, team: t, since: 2026-02-30}",
+    )
+    with pytest.raises(ValueError, match="day is out of range for month"):
+        yaml.load(text, Loader=yamldoc.LOADER)
+    problem = problem_of(text)
+    assert problem.startswith("invalid YAML: month must be in 1..12")
+    assert "line 3, column 43" in problem
+
+
+@LOADERS
+@pytest.mark.parametrize(
+    "text, wording",
+    [
+        ("a: &x 1\nb: &x 2\n", "found duplicate anchor 'x'"),
+        ("a: *nope\n", "found undefined alias 'nope'"),
+    ],
+)
+def test_composer_errors_name_the_anchor(monkeypatch, loader, text, wording):
+    use_loader(monkeypatch, loader)
+    with pytest.raises(OverrideError, match=f"^invalid YAML: {wording}"):
+        load_overrides(text)
+
+
+@LOADERS
+def test_too_deep_a_nesting_is_located(monkeypatch, loader):
+    use_loader(monkeypatch, loader)
+    problem = problem_of(HEAD + "systems: " + "[" * 5000 + "]" * 5000 + "\n")
+    assert problem.startswith("invalid YAML: nested too deeply")
+    assert MARK.search(problem)
