@@ -12,6 +12,7 @@ command can run from a scheduler.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as dt
 import importlib
 import logging
@@ -48,12 +49,12 @@ from .store import (
     persist_assessment,
     write_text_atomic,
 )
-from .yamldoc import load_yaml, read_text
+from .yamldoc import load_yaml, read_text, sorted_keys
 
 # Names used only by some commands, bound as globals of this module by the
-# command that runs them (`_bind`): importing registry (and with it
-# PyYAML), analytics or form would cost `mlq assess` and `mlq report`
-# start-up time for code they never run. Looked up from outside, as
+# command that runs them (`_bind`): importing registry, analytics or form
+# would cost `mlq assess` and `mlq report` start-up time for code they
+# never run (PyYAML waits for the first parse). Looked up from outside, as
 # `mlquality.cli.<name>`, they are bound on first access.
 _DEFERRED = {
     "registry": (
@@ -123,9 +124,9 @@ def _load_usage(path: str) -> SystemUsage:
     )
     if not isinstance(document, dict):
         raise MlQualityError(f"{where} must be a mapping")
-    unknown = sorted(set(document) - set(SystemUsage._fields))
+    unknown = sorted_keys(set(document) - set(SystemUsage._fields))
     if unknown:
-        raise MlQualityError(f"{where}: unknown fields: {', '.join(unknown)}")
+        raise MlQualityError(f"{where}: unknown fields: {', '.join(map(str, unknown))}")
     # as in a registry record, null means no evidence: the default applies
     values = {name: value for name, value in document.items() if value is not None}
     problems: list[str] = []
@@ -159,6 +160,8 @@ def cmd_assess(args) -> int:
             "or both --usage and --fleet"
         )
     family = tuple(args.family.split(",")) if args.family else ()
+    if "" in family or len(set(family)) < len(family):
+        raise MlQualityError(f"--family {args.family} names an empty or repeated member")
     if family and args.system not in family:
         raise MlQualityError(
             f"--family {args.family} must include --system {args.system}"
@@ -259,12 +262,9 @@ def cmd_report(args) -> int:
 
 def cmd_history(args) -> int:
     rows = history(_store_root(args), team=args.team, system=args.system)
-    print("team,system,date,quality_score,maturity")
-    for row in rows:
-        print(
-            f"{row.team},{row.system},{row.date.isoformat()},"
-            f"{row.quality_score},{row.maturity}"
-        )
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["team", "system", "date", "quality_score", "maturity"])
+    writer.writerows(rows)  # a `HistoryRow` holds those fields, in that order
     return 0
 
 

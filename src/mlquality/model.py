@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ModelConfigError
-from .yamldoc import load_yaml, read_text
+from .yamldoc import load_yaml, read_text, sorted_keys
 
 LEVELS = (1, 2, 3, 4, 5)
 
@@ -314,7 +314,7 @@ def load_quality_model(source: str | Path | None = None) -> QualityModel:
 
     problems: list[str] = []
     unknown = set(document) - {"sub_characteristics", "matrix"}
-    for key in sorted(unknown):
+    for key in sorted_keys(unknown):
         problems.append(f"unknown section: {key}")
 
     subs = {sub.id: sub for sub in model.sub_characteristics}

@@ -42,7 +42,7 @@ from .errors import OverrideError, SnapshotError
 from .model import GAP_ALIASES, Gap, QualityModel
 from .percentiles import nearest_rank
 from .scoring import FleetStats, SystemUsage
-from .yamldoc import compose_yaml, load_yaml, load_yaml_records, read_text
+from .yamldoc import compose_yaml, load_yaml, load_yaml_records, read_text, sorted_keys
 
 logger = logging.getLogger(__name__)
 
@@ -245,7 +245,7 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
             f"snapshot must declare schema_version: {SCHEMA_VERSION}, "
             f"got {_quoted(document.get('schema_version'))}"
         )
-    for key in sorted(set(document) - {"schema_version", "snapshot_date", "systems"}):
+    for key in sorted_keys(set(document) - {"schema_version", "snapshot_date", "systems"}):
         logger.warning("snapshot: ignoring unknown top-level field %r", key)
 
     snapshot_date = document.get("snapshot_date")
@@ -675,7 +675,7 @@ def _parse_overrides_entry(raw: dict, where: str, problems: list[str]) -> Manual
             problems.append(f"{where}: extra.{sub_id}: malformed gap token {_quoted(token)}")
             continue
         extra[sub_id] = GapEntry(gap=gap, reason=str(pinned.get("reason", "")))
-    for key in sorted(set(raw) - {"readability", "modularity", "extra"}):
+    for key in sorted_keys(set(raw) - {"readability", "modularity", "extra"}):
         problems.append(f"{where}: unknown field {key}")
     return ManualOverrides(readability=readability, modularity=modularity, extra=extra)
 

@@ -9,15 +9,16 @@ syntax error messages differs. PyYAML is imported on the first parse, not
 with this module, so commands that read no YAML do not load it; `LOADER`,
 the parser class in use, is resolved then too.
 
-One walker composes every document, a root mapping with no anchor entry
-by entry. `load_yaml_records` streams a `key` entry whose value is a
-sequence with no anchor or tag but `!!seq`, in any layout: each item is
-built and converted as soon as it is composed. Anchors are kept across
-items; any other value or root is composed whole. With at most one fault
-the message is the whole-document parse's. Of several, a syntax or
-composer fault wins over a value the constructor cannot build (the
-timestamp 2026-13-01, say), and a value fault outside the streamed list
-over one in it; in the list, the first item's is named, where the
+PyYAML's composer composes every document. The hook it calls before each
+node, `descend_resolver`, idle on a safe loader, here spots the value of
+the root mapping's `key` entry: `load_yaml_records` streams it where it is
+a sequence with no anchor or tag but `!!seq`, in any layout, building and
+converting each item as soon as it is composed; anchors are kept across
+items. A root with an anchor does not stream: an item may alias it. With
+at most one fault the message is the whole-document parse's. Of several, a
+syntax or composer fault wins over a value the constructor cannot build
+(the timestamp 2026-13-01, say), and a value fault outside the streamed
+list over one in it; in the list, the first item's is named, where the
 whole-document parse builds level by level and may name a later one.
 """
 
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import Any, Callable
+
+_STR, _SEQ = "tag:yaml.org,2002:str", "tag:yaml.org,2002:seq"
 
 
 def _loader() -> Any:
@@ -67,6 +70,11 @@ def load_yaml(text: str, error: Callable[[str], Exception]) -> Any:
     return load_yaml_records(text, None, error, None)
 
 
+def sorted_keys(keys: set) -> list:
+    """A parsed mapping's keys: text sorted, then the rest by their text."""
+    return sorted(keys, key=lambda key: (not isinstance(key, str), str(key)))
+
+
 def load_yaml_records(
     text: str, key: str | None, error: Callable[[str], Exception], convert: Callable | None
 ) -> Any:
@@ -77,22 +85,20 @@ def load_yaml_records(
     import yaml
 
     try:
-        loader = _parser(text)
+        loader = _parser(text, key, convert)
         try:
-            root, streamed, failure = _compose(loader, key, convert)
-            if root is None:
-                return None
+            root = loader.get_single_node()
             # each streamed list stands in the root as its records
-            loader.constructed_objects.update(streamed)
-            document = _build(loader, root)
+            loader.constructed_objects.update(loader.streamed)
+            document = None if root is None else _build(loader, root)
         except RecursionError as exc:
             # PyYAML's composer recurses once per level of nesting
             mark = loader.peek_event().start_mark
             raise yaml.composer.ComposerError(None, None, "nested too deeply", mark) from exc
         finally:
             loader.dispose()
-        if failure is not None:
-            raise failure
+        if loader.failure is not None:
+            raise loader.failure
     except (yaml.YAMLError, UnicodeEncodeError) as exc:
         # UnicodeEncodeError: text libyaml cannot take, e.g. a lone surrogate
         raise error(f"invalid YAML: {exc}") from exc
@@ -100,7 +106,7 @@ def load_yaml_records(
         convert is not None
         and isinstance(document, dict)
         and isinstance(document.get(key), list)
-        and all(document[key] is not records for records in streamed.values())
+        and all(document[key] is not records for records in loader.streamed.values())
     ):
         document[key] = [convert(index, item) for index, item in enumerate(document[key])]
     return document
@@ -109,7 +115,7 @@ def load_yaml_records(
 def compose_yaml(text: str) -> Any:
     """The node tree of one YAML document already known to parse, where
     each scalar keeps the text it was written as."""
-    return _compose(_parser(text), None, None)[0]
+    return _parser(text).get_single_node()
 
 
 class _Slices:
@@ -132,80 +138,59 @@ class _Slices:
             ) from None
 
 
-def _parser(text: str) -> Any:
+def _parser(text: str, key: str | None = None, convert: Callable | None = None) -> Any:
     """A `LOADER` over `text` that composes with PyYAML's composer."""
     import yaml
 
-    base = _loader()
-    # no path resolver is registered on a safe loader, so the composer's two
-    # resolver calls per node do nothing: skipped, they cost no parse time
-    skip = dict.fromkeys(["descend_resolver", "ascend_resolver"], lambda *args: None)
-    if issubclass(base, yaml.reader.Reader):
-        # PyYAML's reader quotes the text in its messages; it has the composer
-        return type("Walker", (base,), skip)(text)
-    # libyaml composes only in C, and whole
-    loader = type("Walker", (base, yaml.composer.Composer), skip)(_Slices(text))
-    loader.anchors = {}
+    base, composer = _loader(), yaml.composer.Composer
+
+    class Walker(base, composer):
+        get_single_node = composer.get_single_node  # libyaml's own composes in C
+        descend_resolver, compose_records = _descend, _compose_records
+
+    # PyYAML's reader quotes the text in its messages
+    loader = Walker(text if issubclass(base, yaml.reader.Reader) else _Slices(text))
+    loader.anchors, loader.streamed, loader.failure = {}, {}, None
+    loader.key, loader.convert = key, convert
     return loader
 
 
-def _compose(loader: Any, key: str | None, convert) -> tuple[Any, dict, Exception | None]:
-    """The root node of the stream's one document, None if it has none; the
-    records of each streamed `key` list, by the empty node standing in for
-    it in the root; the fault that stopped building items, if one did."""
-    import yaml
-    from yaml.events import MappingEndEvent, MappingStartEvent, SequenceEndEvent, StreamEndEvent
-    from yaml.nodes import MappingNode, ScalarNode, SequenceNode
-
-    root, streamed, failure, seq = None, {}, None, "tag:yaml.org,2002:seq"
-    loader.get_event()  # stream start
-    if not loader.check_event(StreamEndEvent):
-        loader.get_event()  # document start
+def _descend(loader: Any, parent: Any, index: Any) -> None:
+    """Hands the root's `key` list to `_compose_records`. The composer calls
+    this before each node; `index` is None for a key, its node for a value."""
+    if parent is None:  # the root: an item could alias an anchored one
         event = loader.peek_event()
-        if not isinstance(event, MappingStartEvent) or event.anchor is not None:
-            root = loader.compose_node(None, None)
-        else:
-            # what `compose_node` does for a mapping, one entry at a time
-            loader.get_event()
-            tag = event.tag
-            if tag in (None, "!"):
-                tag = loader.resolve(MappingNode, None, event.implicit)
-            root = MappingNode(tag, [], event.start_mark, None, flow_style=event.flow_style)
-            while not loader.check_event(MappingEndEvent):
-                entry = loader.compose_node(root, None)
-                event = loader.peek_event()
-                if not (
-                    isinstance(entry, ScalarNode)
-                    and (entry.tag, entry.value) == ("tag:yaml.org,2002:str", key)
-                    and isinstance(event, yaml.SequenceStartEvent)
-                    and event.anchor is None
-                    and event.tag in (None, "!", seq)
-                ):
-                    root.value.append((entry, loader.compose_node(root, entry)))
-                    continue
-                loader.get_event()
-                value = SequenceNode(seq, [], event.start_mark, None, flow_style=event.flow_style)
-                streamed[value], index = [], 0
-                while not loader.check_event(SequenceEndEvent):
-                    item = loader.compose_node(value, index)
-                    if failure is None:
-                        try:
-                            built = _build(loader, item)
-                        except yaml.YAMLError as exc:
-                            failure = exc  # composing goes on: a syntax error wins
-                        else:
-                            streamed[value].append(convert(index, built))
-                    index += 1
-                value.end_mark = loader.get_event().end_mark
-                root.value.append((entry, value))
-            root.end_mark = loader.get_event().end_mark
-        loader.get_event()  # document end
-    if not loader.check_event(StreamEndEvent):
-        raise yaml.composer.ComposerError(
-            "expected a single document in the stream", root.start_mark,
-            "but found another document", loader.get_event().start_mark,
-        )
-    return root, streamed, failure
+        loader.root_mark = event.start_mark if event.anchor is None else None
+    elif parent.start_mark is loader.root_mark and getattr(index, "tag", None) == _STR:
+        import yaml
+
+        event = loader.peek_event()
+        if index.value == loader.key and isinstance(event, yaml.SequenceStartEvent):
+            if event.anchor is None and event.tag in (None, "!", _SEQ):
+                loader.compose_sequence_node = loader.compose_records
+
+
+def _compose_records(loader: Any, anchor: None) -> Any:
+    """`compose_sequence_node` for the root's `key` list: each item is built
+    and converted as it is composed, into `loader.streamed` by the node."""
+    import yaml
+
+    del loader.compose_sequence_node  # lists within items compose as usual
+    event = loader.get_event()
+    node = yaml.SequenceNode(_SEQ, [], event.start_mark, None, flow_style=event.flow_style)
+    records, index = loader.streamed.setdefault(node, []), 0
+    while not loader.check_event(yaml.SequenceEndEvent):
+        item = loader.compose_node(node, index)
+        if loader.failure is None:
+            try:
+                built = _build(loader, item)
+            except yaml.YAMLError as exc:
+                loader.failure = exc  # composing goes on: a syntax error wins
+            else:
+                records.append(loader.convert(index, built))
+        index += 1
+    node.end_mark = loader.get_event().end_mark
+    return node
 
 
 def _build(loader: Any, node: Any) -> Any:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import contextlib
+import csv
 import datetime as dt
 import io
 import json
@@ -278,6 +279,26 @@ def test_history_lists_rows(tmp_path, registry, capsys):
     assert lines[1].startswith("search,ranker,2026-07-01,")
 
 
+def test_history_rows_read_back_as_csv(tmp_path, gaps_csv, capsys):
+    """Names holding a comma, a quote or a line break are quoted."""
+    store = tmp_path / "store"
+    identities = [("ads, growth", 'say "hi"'), ("line\nbreak", "plain"), ("search", "ranker")]
+    for team, system in identities:
+        assert main([
+            "assess", "--gaps", str(gaps_csv), "--team", team, "--system", system,
+            "--date", "2026-01-05", "--criticality", "1", "--store", str(store),
+        ]) == 0
+    capsys.readouterr()
+    assert main(["history", "--store", str(store)]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["team", "system", "date", "quality_score", "maturity"]
+    assert sorted(tuple(row) for row in rows[1:]) == sorted(
+        (team, system, "2026-01-05", "100", "5") for team, system in identities
+    )
+    assert out.endswith("\nsearch,ranker,2026-01-05,100,5\n")
+
+
 def test_fleet_outputs(tmp_path, registry, capsys):
     store = tmp_path / "store"
     main(["infer", "--registry", str(registry), "--store", str(store)])
@@ -396,6 +417,18 @@ def test_assess_family_must_name_the_system(tmp_path, gaps_csv, capsys):
     ])
     assert code == 1
     assert "--family s2,s3 must include --system s1" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("family", ["s1,,s2", "s1,s2,", "s1,s1", "s1,s2,s1"])
+def test_assess_family_refuses_empty_and_repeated_members(tmp_path, gaps_csv, capsys, family):
+    code = main([
+        "assess", "--gaps", str(gaps_csv), "--team", "t", "--system", "s1",
+        "--family", family, "--date", "2026-01-05",
+        "--criticality", "1", "--store", str(tmp_path / "store"),
+    ])
+    assert code == 1
+    assert f"--family {family} names an empty or repeated member" in capsys.readouterr().err
     assert not (tmp_path / "store").exists()
 
 

@@ -758,6 +758,9 @@ TEXT_CHANGES = ("anchor", "tail", "crlf", "bom")
          changes=set())
 @example(systems=[{"system_id": "a", "team": "t"}], form="layout", width=80,
          inserts=[(0, "<<: {systems: [{system_id: m, team: t}]}")], changes=set())
+# an anchored root that an item aliases
+@example(systems=[], form="layout", width=80,
+         inserts=[(0, "--- &r"), (4, "- {system_id: a, team: t, up: *r}")], changes=set())
 def test_per_record_parse_equals_the_whole_document_parse(systems, form, width, inserts, changes):
     """Whatever the layout, `load_registry_snapshot` gives what the
     whole-document parse gives: the same snapshot, or the same message,
@@ -807,6 +810,8 @@ def walker_outcome(load, text):
     form=st.sampled_from(FORMS),
     inserts=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(INSERTS)), max_size=2),
 )
+# an anchored root that an item aliases
+@example(systems=[], form="layout", inserts=[(0, "--- &r"), (4, "- {system_id: a, team: t, up: *r}")])
 def test_the_walker_builds_what_pyyaml_builds(systems, form, inserts):
     """An independent reference for the walker, streaming or not: the
     document PyYAML's own parse builds, or a refusal by both (their

@@ -3,6 +3,7 @@ documents end in the package's own errors with a located message."""
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 
@@ -10,10 +11,11 @@ import pytest
 import yaml
 
 from mlquality import yamldoc
+from mlquality.cli import main
 from mlquality.errors import ModelConfigError, OverrideError, SnapshotError
 from mlquality.model import load_quality_model
 from mlquality.registry import load_overrides, load_registry_snapshot
-from test_cli import OVERRIDES_YAML, REGISTRY_YAML
+from test_cli import ALL_NO_CSV, OVERRIDES_YAML, REGISTRY_YAML
 from test_registry import LOADERS, use_loader
 
 PURE = yaml.SafeLoader
@@ -245,3 +247,60 @@ def test_too_deep_a_nesting_is_located(monkeypatch, loader):
     problem = problem_of(HEAD + "systems: " + "[" * 5000 + "]" * 5000 + "\n")
     assert problem.startswith("invalid YAML: nested too deeply")
     assert MARK.search(problem)
+
+
+def nested(depth, wrap, inner):
+    return functools.reduce(lambda value, _: wrap(value), range(depth), inner)
+
+
+@LOADERS
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("[" * 400 + "]" * 400, nested(399, lambda value: [value], [])),
+        ("{a: " * 400 + "1" + "}" * 400, nested(400, lambda value: {"a": value}, 1)),
+    ],
+    ids=["list", "mapping"],
+)
+def test_a_nesting_400_deep_is_parsed(monkeypatch, loader, text, expected):
+    """PyYAML's composer takes a stack frame or two per level: a hook that
+    added one more to every level would stop short of this depth."""
+    use_loader(monkeypatch, loader)
+    assert yamldoc.load_yaml(text, SnapshotError) == expected
+
+
+@LOADERS
+def test_keys_that_are_not_text_follow_the_text_ones(monkeypatch, loader, tmp_path, capsys, caplog):
+    """The registry warns of each unknown top-level key and goes on; the
+    model, overrides and usage files exit 1 naming theirs."""
+    use_loader(monkeypatch, loader)
+    texts = {
+        "registry": REGISTRY_YAML + "1: x\nfoo: y\n",
+        "model": "1: 2\nfoo: 3\n",
+        "overrides": "readability: full\n1: 2\nfoo: 3\n",
+        "usage": "1: 2\nfoo: 3\n",
+        "gaps": ALL_NO_CSV,
+    }
+    path = {name: str(tmp_path / name) for name in texts}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    store = ["--store", str(tmp_path / "store")]
+    assert main(["infer", "--registry", path["registry"], *store]) == 0
+    assert [message for message in caplog.messages if "top-level" in message] == [
+        "snapshot: ignoring unknown top-level field 'foo'",
+        "snapshot: ignoring unknown top-level field 1",
+    ]
+    capsys.readouterr()
+    assert main(["validate", "--model", path["model"]]) == 1
+    assert main(["infer", "--registry", path["registry"], "--overrides", path["overrides"], *store]) == 1
+    assert main([
+        "assess", "--gaps", path["gaps"], "--team", "t", "--system", "s", "--date", "2026-01-05",
+        "--usage", path["usage"], "--fleet", path["registry"], *store,
+    ]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "unknown section: foo",
+        "unknown section: 1",
+        "overrides: unknown field foo",
+        "overrides: unknown field 1",
+        f"usage file {path['usage']}: unknown fields: foo, 1",
+    ]
