@@ -4,7 +4,9 @@ Score distributions are summarized per month as five-number summaries
 (nearest-rank quantiles), compliance is the fraction of systems without a
 gap per attribute, and both views come with small deterministic SVG
 renderers. All aggregations are pure folds: permuting the input never
-changes the output.
+changes the output. The history folds walk the rows sorted whole, so of
+two rows of one system on one date the one with the higher score, then
+the higher maturity, counts as the later.
 """
 
 from __future__ import annotations
@@ -44,22 +46,18 @@ def score_distribution(rows: Iterable[HistoryRow]) -> list[DistributionSummary]:
     """Five-number score summaries by month.
 
     A system counts once per month; when it was assessed several times in
-    the same month only the latest assessment is kept, mirroring a monthly
-    evaluation cadence.
+    the same month only the latest assessment is kept (on equal dates, the
+    higher score), mirroring a monthly evaluation cadence.
     """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("score_distribution needs at least one history row")
-    latest: dict[tuple[str, str, str], HistoryRow] = {}
-    for row in rows:
+    latest: dict[tuple[str, str, str], int] = {}
+    for row in sorted(rows):
         period = f"{row.date.year:04d}-{row.date.month:02d}"
-        key = (period, row.team, row.system)
-        current = latest.get(key)
-        if current is None or row.date > current.date:
-            latest[key] = row
+        latest[period, row.team, row.system] = row.quality_score
+    if not latest:
+        raise ValueError("score_distribution needs at least one history row")
     by_period: dict[str, list[int]] = {}
-    for (period, _, _), row in latest.items():
-        by_period.setdefault(period, []).append(row.quality_score)
+    for (period, _, _), score in latest.items():
+        by_period.setdefault(period, []).append(score)
     summaries = []
     for period in sorted(by_period):
         scores = sorted(by_period[period])
@@ -166,6 +164,8 @@ _PALETTE = (
     "#2e86c1", "#cb4335", "#1e8449", "#8e44ad", "#d68910",
     "#148f77", "#922b21", "#2471a3", "#b7950b", "#633974",
 )
+# (label, color) of the compliance bars, in the order they are drawn
+_COHORTS = (("before", "#85929e"), ("after", "#1e8449"))
 
 _MARGIN_LEFT = 60.0
 _MARGIN_TOP = 30.0
@@ -177,40 +177,58 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _svg_head(width: float, height: float) -> str:
+    return (
+        f'<svg role="img" width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}" '
+        'xmlns="http://www.w3.org/2000/svg">'
+    )
+
+
+def _grid(left: float, right: float, top: float, height: float, unit: str) -> list[str]:
+    """Rules across [left, right] at 0, 25, 50, 75 and 100 of a plot
+    `height` high below `top`, each labelled with its value and `unit`."""
+    parts = []
+    for value in (0, 25, 50, 75, 100):
+        y = top + (100 - value) * height / 100
+        parts.append(
+            f'<line x1="{_fmt(left)}" y1="{_fmt(y)}" x2="{_fmt(right)}" y2="{_fmt(y)}" '
+            'stroke="#d5d8dc" stroke-width="1"/>'
+            f'<text x="{_fmt(left - 8)}" y="{_fmt(y + 4)}" '
+            f'text-anchor="end" font-size="12" fill="#566573">{value}{unit}</text>'
+        )
+    return parts
+
+
 def _maturity_marker(x: float, y: float, maturity: int, color: str) -> str:
     """A distinct glyph per maturity level 0..5 at the given point."""
     r = 5.0
+    stroke = f' stroke="{color}" stroke-width="2" fill='
     if maturity == 0:  # saltire cross
         return (
             f'<path d="M {_fmt(x - r)} {_fmt(y - r)} L {_fmt(x + r)} {_fmt(y + r)} '
-            f'M {_fmt(x - r)} {_fmt(y + r)} L {_fmt(x + r)} {_fmt(y - r)}" '
-            f'stroke="{color}" stroke-width="2" fill="none"/>'
+            f'M {_fmt(x - r)} {_fmt(y + r)} L {_fmt(x + r)} {_fmt(y - r)}"{stroke}"none"/>'
         )
     if maturity == 1:  # open circle
-        return (
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" '
-            f'stroke="{color}" stroke-width="2" fill="white"/>'
+        glyph = f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}"'
+    elif maturity == 2:  # open triangle
+        glyph = (
+            f'<polygon points="{_fmt(x)},{_fmt(y - r)} {_fmt(x - r)},{_fmt(y + r)} '
+            f'{_fmt(x + r)},{_fmt(y + r)}"'
         )
-    if maturity == 2:  # open triangle
-        points = f"{_fmt(x)},{_fmt(y - r)} {_fmt(x - r)},{_fmt(y + r)} {_fmt(x + r)},{_fmt(y + r)}"
-        return (
-            f'<polygon points="{points}" stroke="{color}" stroke-width="2" fill="white"/>'
-        )
-    if maturity == 3:  # open square
-        return (
+    elif maturity == 3:  # open square
+        glyph = (
             f'<rect x="{_fmt(x - r)}" y="{_fmt(y - r)}" width="{_fmt(2 * r)}" '
-            f'height="{_fmt(2 * r)}" stroke="{color}" stroke-width="2" fill="white"/>'
+            f'height="{_fmt(2 * r)}"'
         )
-    if maturity == 4:  # open diamond
-        points = (
-            f"{_fmt(x)},{_fmt(y - r)} {_fmt(x + r)},{_fmt(y)} "
-            f"{_fmt(x)},{_fmt(y + r)} {_fmt(x - r)},{_fmt(y)}"
+    elif maturity == 4:  # open diamond
+        glyph = (
+            f'<polygon points="{_fmt(x)},{_fmt(y - r)} {_fmt(x + r)},{_fmt(y)} '
+            f'{_fmt(x)},{_fmt(y + r)} {_fmt(x - r)},{_fmt(y)}"'
         )
-        return (
-            f'<polygon points="{points}" stroke="{color}" stroke-width="2" fill="white"/>'
-        )
-    # level 5: filled circle
-    return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{color}"/>'
+    else:  # level 5: filled circle
+        return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{color}"/>'
+    return f'{glyph}{stroke}"white"/>'
 
 
 _MARKER_LEGEND = ((0, "below level 1"),) + tuple((level, f"level {level}") for level in LEVELS)
@@ -220,18 +238,15 @@ def render_trend_chart(rows: Iterable[HistoryRow]) -> str:
     """Per-system quality trajectories over assessment iterations.
 
     One polyline per system; x is the ordinal index of the assessment
-    within that system's history and y the quality score. The marker glyph
-    at each point encodes the maturity level at that assessment.
+    within that system's history (by date, then score) and y the quality
+    score. The marker glyph at each point encodes the maturity level at
+    that assessment.
     """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("render_trend_chart needs at least one history row")
     by_system: dict[tuple[str, str], list[HistoryRow]] = {}
-    for row in rows:
+    for row in sorted(rows):
         by_system.setdefault((row.team, row.system), []).append(row)
-    systems = sorted(by_system)
-    for key in systems:
-        by_system[key].sort(key=lambda row: row.date)
+    if not by_system:
+        raise ValueError("render_trend_chart needs at least one history row")
     max_points = max(len(series) for series in by_system.values())
 
     def x_at(index: int) -> float:
@@ -242,31 +257,16 @@ def render_trend_chart(rows: Iterable[HistoryRow]) -> str:
     def y_at(score: int) -> float:
         return _MARGIN_TOP + (100 - score) * _PLOT_HEIGHT / 100
 
-    legend_h = 24 * len(systems) + 40
-    width = _MARGIN_LEFT + _PLOT_WIDTH + 30
-    height = _MARGIN_TOP + _PLOT_HEIGHT + 50 + legend_h
+    legend_y = _MARGIN_TOP + _PLOT_HEIGHT + 58
     parts = [
-        f'<svg role="img" width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}" '
-        'xmlns="http://www.w3.org/2000/svg">'
-    ]
-    for score in (0, 25, 50, 75, 100):
-        y = y_at(score)
-        parts.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(_MARGIN_LEFT + _PLOT_WIDTH)}" y2="{_fmt(y)}" '
-            'stroke="#d5d8dc" stroke-width="1"/>'
-            f'<text x="{_fmt(_MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" '
-            f'text-anchor="end" font-size="12" fill="#566573">{score}</text>'
-        )
-    parts.append(
+        _svg_head(_MARGIN_LEFT + _PLOT_WIDTH + 30, legend_y + 24 * len(by_system) + 32),
+        *_grid(_MARGIN_LEFT, _MARGIN_LEFT + _PLOT_WIDTH, _MARGIN_TOP, _PLOT_HEIGHT, ""),
         f'<text x="{_fmt(_MARGIN_LEFT + _PLOT_WIDTH / 2)}" '
         f'y="{_fmt(_MARGIN_TOP + _PLOT_HEIGHT + 32)}" text-anchor="middle" '
-        'font-size="12" fill="#566573">assessment iteration</text>'
-    )
-    for index, key in enumerate(systems):
+        'font-size="12" fill="#566573">assessment iteration</text>',
+    ]
+    for index, ((team, system), series) in enumerate(by_system.items()):
         color = _PALETTE[index % len(_PALETTE)]
-        series = by_system[key]
         points = [(x_at(i), y_at(row.quality_score)) for i, row in enumerate(series)]
         if len(points) > 1:
             path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
@@ -276,24 +276,22 @@ def render_trend_chart(rows: Iterable[HistoryRow]) -> str:
             )
         for (x, y), row in zip(points, series):
             parts.append(_maturity_marker(x, y, row.maturity, color))
-        label = f"{key[0]} / {key[1]}"
-        ly = _MARGIN_TOP + _PLOT_HEIGHT + 58 + 24 * index
+        ly = legend_y + 24 * index
         parts.append(
             f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(ly - 4)}" '
             f'x2="{_fmt(_MARGIN_LEFT + 24)}" y2="{_fmt(ly - 4)}" '
             f'stroke="{color}" stroke-width="2"/>'
             f'<text x="{_fmt(_MARGIN_LEFT + 32)}" y="{_fmt(ly)}" '
-            f'font-size="12" fill="#2c3e50">{escape(label)}</text>'
+            f'font-size="12" fill="#2c3e50">{escape(f"{team} / {system}")}</text>'
         )
-    marker_y = _MARGIN_TOP + _PLOT_HEIGHT + 58 + 24 * len(systems)
-    marker_x = _MARGIN_LEFT
-    for level, label in _MARKER_LEGEND:
-        parts.append(_maturity_marker(marker_x + 5, marker_y - 4, level, "#566573"))
+    marker_y = legend_y + 24 * len(by_system)
+    for slot, (level, label) in enumerate(_MARKER_LEGEND):
+        marker_x = _MARGIN_LEFT + 95 * slot
         parts.append(
-            f'<text x="{_fmt(marker_x + 16)}" y="{_fmt(marker_y)}" '
+            _maturity_marker(marker_x + 5, marker_y - 4, level, "#566573")
+            + f'<text x="{_fmt(marker_x + 16)}" y="{_fmt(marker_y)}" '
             f'font-size="11" fill="#566573">{escape(label)}</text>'
         )
-        marker_x += 95
     parts.append("</svg>")
     return "".join(parts)
 
@@ -308,35 +306,18 @@ def render_compliance_chart(rows: Sequence[ComplianceRow]) -> str:
     margin_left = 50.0
     margin_top = 24.0
     label_area = 150.0
-    width = margin_left + group_width * len(rows) + 30
-    height = margin_top + plot_height + label_area + 40
-
-    def bar_height(fraction: float) -> float:
-        return plot_height * fraction
-
+    plot_right = margin_left + group_width * len(rows)
     parts = [
-        f'<svg role="img" width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}" '
-        'xmlns="http://www.w3.org/2000/svg">'
+        _svg_head(plot_right + 30, margin_top + plot_height + label_area + 40),
+        *_grid(margin_left, plot_right, margin_top, plot_height, "%"),
     ]
-    for percent in (0, 25, 50, 75, 100):
-        y = margin_top + plot_height * (100 - percent) / 100
-        parts.append(
-            f'<line x1="{_fmt(margin_left)}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(margin_left + group_width * len(rows))}" y2="{_fmt(y)}" '
-            'stroke="#d5d8dc" stroke-width="1"/>'
-            f'<text x="{_fmt(margin_left - 8)}" y="{_fmt(y + 4)}" '
-            f'text-anchor="end" font-size="12" fill="#566573">{percent}%</text>'
-        )
     for index, row in enumerate(rows):
         x0 = margin_left + index * group_width + 3
-        for offset, fraction, color in (
-            (0.0, row.fraction_no_gap_before, "#85929e"),
-            (bar_width + 1, row.fraction_no_gap_after, "#1e8449"),
-        ):
-            h = bar_height(fraction)
+        fractions = (row.fraction_no_gap_before, row.fraction_no_gap_after)
+        for slot, (fraction, (_, color)) in enumerate(zip(fractions, _COHORTS)):
+            h = plot_height * fraction
             parts.append(
-                f'<rect x="{_fmt(x0 + offset)}" '
+                f'<rect x="{_fmt(x0 + slot * (bar_width + 1))}" '
                 f'y="{_fmt(margin_top + plot_height - h)}" '
                 f'width="{_fmt(bar_width)}" height="{_fmt(h)}" fill="{color}"/>'
             )
@@ -348,15 +329,13 @@ def render_compliance_chart(rows: Sequence[ComplianceRow]) -> str:
             f"{escape(row.sub_characteristic)}</text>"
         )
     legend_y = margin_top + plot_height + label_area + 20
-    parts.append(
-        f'<rect x="{_fmt(margin_left)}" y="{_fmt(legend_y - 10)}" width="12" '
-        'height="12" fill="#85929e"/>'
-        f'<text x="{_fmt(margin_left + 18)}" y="{_fmt(legend_y)}" font-size="12" '
-        'fill="#2c3e50">before</text>'
-        f'<rect x="{_fmt(margin_left + 90)}" y="{_fmt(legend_y - 10)}" width="12" '
-        'height="12" fill="#1e8449"/>'
-        f'<text x="{_fmt(margin_left + 108)}" y="{_fmt(legend_y)}" font-size="12" '
-        'fill="#2c3e50">after</text>'
-    )
+    for slot, (label, color) in enumerate(_COHORTS):
+        x = margin_left + 90 * slot
+        parts.append(
+            f'<rect x="{_fmt(x)}" y="{_fmt(legend_y - 10)}" width="12" '
+            f'height="12" fill="{color}"/>'
+            f'<text x="{_fmt(x + 18)}" y="{_fmt(legend_y)}" font-size="12" '
+            f'fill="#2c3e50">{label}</text>'
+        )
     parts.append("</svg>")
     return "".join(parts)

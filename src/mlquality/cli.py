@@ -160,7 +160,8 @@ def cmd_assess(args) -> int:
             "or both --usage and --fleet"
         )
     family = tuple(args.family.split(",")) if args.family else ()
-    if "" in family or len(set(family)) < len(family):
+    blank = any(not name or name != name.strip() for name in family)
+    if blank or len(set(family)) < len(family):
         raise MlQualityError(f"--family {args.family} names an empty or repeated member")
     if family and args.system not in family:
         raise MlQualityError(

@@ -392,20 +392,20 @@ def check_identity(root: str | Path, assessment: Assessment) -> None:
     Names that differ only where `sanitize_component` maps them alike,
     such as `a b` and `a_b`, share a directory; a snapshot already in the
     target date directory that records another identity is refused rather
-    than replaced. A snapshot that cannot be read records no identity and
-    may be replaced. Costs one failed open when the directory holds no snapshot.
+    than replaced. A snapshot that cannot be read, or whose team or system
+    is not text, records no identity (`_records`, as `load_assessment`
+    reads it) and may be replaced. Costs one failed open when the directory
+    holds no snapshot.
     """
     snapshot = snapshot_path(root, assessment.team, assessment.system_id, assessment.date)
     try:
         payload = _read_snapshot(snapshot, absent_ok=True)
-        if payload is None:
-            return
-        stored = (payload["identity"]["team"], payload["identity"]["system"])
-    except (StoreError, KeyError, TypeError):
+    except StoreError:
         return
-    if stored != (assessment.team, assessment.system_id):
+    if payload is not None and not _records(payload, assessment.team, assessment.system_id):
+        stored = payload["identity"]
         raise StoreError(
-            f"{snapshot} holds team {stored[0]!r} system {stored[1]!r}; "
+            f"{snapshot} holds team {stored['team']!r} system {stored['system']!r}; "
             f"team {assessment.team!r} system {assessment.system_id!r} maps to "
             "the same directory and would overwrite it"
         )

@@ -16,6 +16,7 @@ from mlquality.scoring import (
     CriticalityLevel,
     evaluate,
 )
+from mlquality.store import persist_assessment
 
 
 def _result(
@@ -118,3 +119,34 @@ def round_trip_results(model: QualityModel | None = None) -> list[AssessmentResu
             justification="revenue share (3.00%) above 1% of yearly revenue",
         ),
     ]
+
+
+# (team, system, date, gaps) of the golden fleet store: maturity 0 to 5 in
+# turn, two months, a name needing escaping, a one-point system in each
+# cohort only, and no two snapshots of one system on one date
+FLEET = (
+    ("search", "ranker", dt.date(2026, 1, 5), {"accuracy": Gap.LARGE}),
+    ("search", "ranker", dt.date(2026, 1, 20), {"testability": Gap.LARGE}),
+    ("search", "ranker", dt.date(2026, 2, 3), {"accuracy": Gap.SMALL}),
+    ("search", "ranker", dt.date(2026, 2, 17), {"efficiency": Gap.LARGE}),
+    ('R&D "lab\'s"', "<forecast>", dt.date(2026, 2, 10), {"effectiveness": Gap.SMALL}),
+    ("fraud", "screener", dt.date(2026, 1, 12), {}),
+)
+FLEET_BEFORE = dt.date(2026, 1, 31)
+FLEET_AFTER = dt.date(2026, 2, 1)
+
+
+def persist_fleet(root, model: QualityModel | None = None) -> None:
+    """Persist the golden fleet store (`FLEET`) under `root`."""
+    model = model or default_model()
+    for team, system_id, date, gaps in FLEET:
+        result = _result(
+            model,
+            {sub_id: (gap, f"{sub_id} gap") for sub_id, gap in gaps.items()},
+            team=team,
+            system_id=system_id,
+            date=date,
+            level=CriticalityLevel.PRODUCTION_CRITICAL,
+            justification="flagged as strategically important",
+        )
+        persist_assessment(root, result, model)

@@ -8,7 +8,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_assessment
@@ -208,6 +208,34 @@ def test_trend_chart_marker_changes_with_maturity():
     flat = render_trend_chart([row(day=1, maturity=1), row(day=2, maturity=1)])
     assert improving.count("<rect") == flat.count("<rect") + 1  # one square point
     assert flat.count("<circle") == improving.count("<circle") + 1
+
+
+HISTORY_ROWS = st.lists(
+    st.builds(
+        HistoryRow,
+        team=st.sampled_from(["t", "u"]),
+        system=st.sampled_from(["s", "r"]),
+        date=st.sampled_from([dt.date(2026, 1, 5), dt.date(2026, 1, 20), dt.date(2026, 2, 3)]),
+        quality_score=st.integers(min_value=0, max_value=100),
+        maturity=st.integers(min_value=0, max_value=5),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(HISTORY_ROWS.flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
+@example((
+    [row(team="t", system="s", day=5, score=40, maturity=1),
+     row(team="t", system="s", day=5, score=90, maturity=3)],
+    [row(team="t", system="s", day=5, score=90, maturity=3),
+     row(team="t", system="s", day=5, score=40, maturity=1)],
+))
+@settings(max_examples=200)
+def test_history_folds_are_permutation_invariant_with_repeated_dates(case):
+    rows, permuted = case
+    assert score_distribution(permuted) == score_distribution(rows)
+    assert render_trend_chart(permuted) == render_trend_chart(rows)
 
 
 def test_trend_chart_deterministic_and_rejects_empty():

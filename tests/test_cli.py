@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import mlquality
 from conftest import make_assessment
+from golden_fixtures import FLEET_AFTER, FLEET_BEFORE, persist_fleet
 from mlquality.cli import main
 from mlquality.errors import StoreError
 from mlquality.model import Gap, default_model
@@ -29,6 +30,7 @@ from mlquality.scoring import evaluate
 from mlquality.store import persist_assessment
 
 MODEL = default_model()
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 ALL_NO_CSV = "sub_characteristic,gap,reason\n" + "".join(
     f"{sub_id},no,verified\n" for sub_id in MODEL.ids
@@ -351,6 +353,22 @@ def test_fleet_with_half_a_cohort_is_refused_before_the_store_is_read(
     assert not (tmp_path / "out").exists()
 
 
+def test_fleet_views_match_the_golden_files(tmp_path, capsys):
+    store, out = tmp_path / "store", tmp_path / "fleet"
+    persist_fleet(store)
+    code = main([
+        "fleet", "--store", str(store), "--out", str(out),
+        "--before", FLEET_BEFORE.isoformat(), "--after", FLEET_AFTER.isoformat(),
+    ])
+    assert code == 0
+    golden = GOLDEN_DIR / "fleet"
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        path.name for path in golden.iterdir()
+    )
+    for path in golden.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_fleet_empty_store_fails(tmp_path, capsys):
     code = main([
         "fleet", "--store", str(tmp_path / "empty"), "--out", str(tmp_path / "out"),
@@ -376,6 +394,131 @@ def test_validate_checks_gaps_csv(tmp_path, gaps_csv, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(ALL_NO_CSV.replace("fairness,no,verified", "fairness,small,x"))
     assert main(["validate", "--gaps", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            "sub_characteristics: [testability]\n",
+            "sub_characteristics: expected a mapping of row id to fields",
+        ),
+        (
+            "sub_characteristics:\n  testability: text\n",
+            "sub_characteristics.testability: expected a mapping",
+        ),
+        (
+            "sub_characteristics:\n  testability:\n    remediation: [x]\n",
+            "sub_characteristics.testability.remediation: expected text",
+        ),
+        (
+            "sub_characteristics:\n  testability:\n    full_requirement:\n",
+            "sub_characteristics.testability.full_requirement: cannot be empty",
+        ),
+        ("matrix: [testability]\n", "matrix: expected a mapping of row id to demand tokens"),
+        ("- matrix\n", "config document must be a mapping"),
+    ],
+    ids=["texts not a mapping", "row not a mapping", "field not text", "empty field",
+         "matrix not a mapping", "document not a mapping"],
+)
+def test_validate_locates_model_config_problems(tmp_path, capsys, config, message):
+    path = tmp_path / "model.yaml"
+    path.write_text(config)
+    assert main(["validate", "--model", str(path)]) == 1
+    assert capsys.readouterr().err == f"{message}\n"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            "extra: [testability]\n",
+            "overrides: extra must be a mapping of sub-characteristic to gap",
+        ),
+        (
+            "extra:\n  testability: large\n",
+            "overrides: extra.testability must be a mapping with a gap",
+        ),
+        (
+            "extra:\n  testability: {gap: huge}\n",
+            "overrides: extra.testability: malformed gap token 'huge'",
+        ),
+        ("systems: [ranker]\n", "systems: expected a mapping of system id to overrides"),
+        ("systems:\n  ranker: full\n", "systems.ranker: expected a mapping"),
+        ("- extra\n", "overrides document must be a mapping"),
+    ],
+    ids=["extra not a mapping", "pin without a gap", "pin gap token", "systems not a mapping",
+         "system not a mapping", "document not a mapping"],
+)
+def test_infer_locates_overrides_problems(tmp_path, registry, capsys, overrides, message):
+    path = tmp_path / "overrides.yaml"
+    path.write_text(overrides)
+    store = tmp_path / "store"
+    code = main([
+        "infer", "--registry", str(registry), "--overrides", str(path), "--store", str(store),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"{message}\n"
+    assert not store.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("- systems\n", "snapshot document must be a mapping"),
+        (
+            "schema_version: 1\nsnapshot_date: [1]\nsystems: []\n",
+            "snapshot_date must be a date, got [1]",
+        ),
+        (
+            REGISTRY_YAML.replace("requests_per_day: 50000", "requests_per_day: 1.5"),
+            "systems[0]: requests_per_day must be an integer, got 1.5",
+        ),
+        ("schema_version: 1\nsystems: []\n", "registry snapshot contains no systems"),
+    ],
+    ids=["document not a mapping", "snapshot_date a list", "fractional count", "no systems"],
+)
+def test_infer_locates_registry_problems(tmp_path, capsys, text, message):
+    path = tmp_path / "registry.yaml"
+    path.write_text(text)
+    store = tmp_path / "store"
+    assert main(["infer", "--registry", str(path), "--store", str(store)]) == 1
+    assert capsys.readouterr().err == f"{message}\n"
+    assert not store.exists()
+
+
+@pytest.mark.parametrize(
+    "usage, fleet, message",
+    [
+        (
+            "requests_per_day: 100\n",
+            "\n".join(line for line in REGISTRY_YAML.splitlines()
+                      if not line.lstrip().startswith("training_duration")) + "\n",
+            "no system reports a training_duration",
+        ),
+        (
+            "requests_per_day: 1.5\n",
+            REGISTRY_YAML,
+            "usage file {usage}: requests_per_day must be an integer, got 1.5",
+        ),
+    ],
+    ids=["no training_duration", "fractional count"],
+)
+def test_assess_locates_usage_and_fleet_problems(
+    tmp_path, gaps_csv, capsys, usage, fleet, message
+):
+    usage_path, fleet_path = tmp_path / "usage.yaml", tmp_path / "fleet.yaml"
+    usage_path.write_text(usage)
+    fleet_path.write_text(fleet)
+    store = tmp_path / "store"
+    code = main([
+        "assess", "--gaps", str(gaps_csv), "--team", "t", "--system", "s",
+        "--date", "2026-01-05", "--usage", str(usage_path), "--fleet", str(fleet_path),
+        "--store", str(store),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == message.format(usage=usage_path) + "\n"
+    assert not store.exists()
 
 
 def test_form_emits_template(tmp_path, capsys):
@@ -420,7 +563,9 @@ def test_assess_family_must_name_the_system(tmp_path, gaps_csv, capsys):
     assert not (tmp_path / "store").exists()
 
 
-@pytest.mark.parametrize("family", ["s1,,s2", "s1,s2,", "s1,s1", "s1,s2,s1"])
+@pytest.mark.parametrize(
+    "family", ["s1,,s2", "s1,s2,", "s1,s1", "s1,s2,s1", "s1, s2", "s1,s2 ", "s1,\ts2", "s1, "]
+)
 def test_assess_family_refuses_empty_and_repeated_members(tmp_path, gaps_csv, capsys, family):
     code = main([
         "assess", "--gaps", str(gaps_csv), "--team", "t", "--system", "s1",
@@ -1395,6 +1540,26 @@ def test_assess_refuses_to_overwrite_another_team_in_a_shared_directory(
     assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
     assert assess("a b", "5") == 0
     assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+
+
+def test_assess_replaces_a_snapshot_whose_team_is_not_text(tmp_path, gaps_csv, capsys):
+    store = tmp_path / "store"
+    args = [
+        "--store", str(store), "--team", "a_b", "--system", "x", "--date", "2026-01-05",
+    ]
+    assess = ["assess", "--gaps", str(gaps_csv), "--criticality", "5", *args]
+    assert main(assess) == 0
+    snapshot = store / "a_b" / "x" / "2026-01-05" / "snapshot.json"
+    _mutate_snapshot(
+        snapshot, lambda payload: {**payload, "identity": {**payload["identity"], "team": 7}}
+    )
+    capsys.readouterr()
+    assert main(["report", *args, "--out", str(tmp_path / "broken.html")]) == 1
+    assert capsys.readouterr().err.startswith(f"malformed snapshot {snapshot}: ")
+    assert main(assess) == 0
+    out = tmp_path / "r.html"
+    assert main(["report", *args, "--out", str(out)]) == 0
+    assert out.read_bytes() == (snapshot.parent / "report.html").read_bytes()
 
 
 @pytest.mark.parametrize("date", [None, "2026-01-05"])

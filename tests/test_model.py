@@ -118,6 +118,33 @@ def test_missing_level_5_full_detected(model):
     assert validate_model(candidate) == ["scalability: demand at level 5 must be full"]
 
 
+@pytest.mark.parametrize(
+    "edit, violation",
+    [
+        (lambda matrix: matrix.pop("testability"), "testability: missing matrix row"),
+        (
+            lambda matrix: matrix.update(speed=matrix["accuracy"]),
+            "speed: matrix row for unknown sub-characteristic",
+        ),
+        (
+            lambda matrix: matrix.update(testability=matrix["testability"][:4]),
+            "testability: expected 5 cells, got 4",
+        ),
+    ],
+    ids=["missing row", "unknown row", "wrong arity"],
+)
+def test_matrix_shape_violations_detected(model, edit, violation):
+    matrix = dict(model.matrix)
+    edit(matrix)
+    candidate = type(model)(
+        sub_characteristics=model.sub_characteristics,
+        matrix=matrix,
+        remediation_texts=model.remediation_texts,
+        characteristic_descriptions=model.characteristic_descriptions,
+    )
+    assert validate_model(candidate) == [violation]
+
+
 def test_load_without_config_equals_default(model):
     loaded = load_quality_model(None)
     assert loaded == model

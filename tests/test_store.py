@@ -429,7 +429,15 @@ def test_check_identity_allows_the_same_identity_and_other_dates(model, tmp_path
         check_identity(tmp_path, assessment)
 
 
-@pytest.mark.parametrize("content", ["{ not json", '{"snapshot_version": 1}', "[]"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{ not json",
+        '{"snapshot_version": 1}',
+        "[]",
+        '{"snapshot_version": 1, "identity": {"team": 7, "system": "x"}}',
+    ],
+)
 def test_check_identity_lets_an_unreadable_snapshot_be_replaced(model, tmp_path, content):
     _, stored = _persist(model, tmp_path, team="a b", system_id="x")
     stored.snapshot.write_text(content)
