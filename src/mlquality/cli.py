@@ -58,12 +58,12 @@ from .yamldoc import load_yaml, read_text, sorted_keys
 # `mlquality.cli.<name>`, they are bound on first access.
 _DEFERRED = {
     "registry": (
-        "check_field",
         "extra_pin_problems",
         "fleet_percentiles",
         "infer_gaps",
         "load_overrides",
         "load_registry_snapshot",
+        "read_fields",
         "usage_from_metadata",
     ),
     "analytics": (
@@ -124,14 +124,10 @@ def _load_usage(path: str) -> SystemUsage:
     )
     if not isinstance(document, dict):
         raise MlQualityError(f"{where} must be a mapping")
-    unknown = sorted_keys(set(document) - set(SystemUsage._fields))
-    if unknown:
-        raise MlQualityError(f"{where}: unknown fields: {', '.join(map(str, unknown))}")
     # as in a registry record, null means no evidence: the default applies
-    values = {name: value for name, value in document.items() if value is not None}
-    problems: list[str] = []
-    for name, value in values.items():
-        check_field(name, value, problems, where)
+    values, problems, unknown = read_fields(document, SystemUsage._fields, where)
+    if unknown:
+        raise MlQualityError(f"{where}: unknown fields: {', '.join(map(str, sorted_keys(unknown)))}")
     if problems:
         raise MultiProblemError(problems)
     return SystemUsage(**values)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ModelConfigError
-from .yamldoc import load_yaml, read_text, sorted_keys
+from .yamldoc import load_yaml, quoted, read_text, sorted_keys
 
 LEVELS = (1, 2, 3, 4, 5)
 
@@ -330,28 +330,19 @@ def load_quality_model(source: str | Path | None = None) -> QualityModel:
         if not isinstance(fields, dict):
             problems.append(f"sub_characteristics.{sub_id}: expected a mapping")
             continue
+        where, parent = f"sub_characteristics.{sub_id}", subs[sub_id].characteristic.value
         for field, value in fields.items():
             if field == "parent":
-                if value != subs[sub_id].characteristic.value:
-                    problems.append(
-                        f"sub_characteristics.{sub_id}.parent: cannot be changed "
-                        f"(fixed to {subs[sub_id].characteristic.value})"
-                    )
-                continue
-            if field not in _TEXT_FIELDS:
-                problems.append(f"sub_characteristics.{sub_id}: unknown field {field}")
-                continue
-            if value is not None and not isinstance(value, str):
-                problems.append(f"sub_characteristics.{sub_id}.{field}: expected text")
-                continue
-            if field == "remediation":
+                if value != parent:
+                    problems.append(f"{where}.parent: cannot be changed (fixed to {parent})")
+            elif field not in _TEXT_FIELDS:
+                problems.append(f"{where}: unknown field {field}")
+            elif value is not None and not isinstance(value, str):
+                problems.append(f"{where}.{field}: expected text")
+            elif field == "remediation":
                 remediation[sub_id] = value or ""
-            elif field == "minimal_requirement":
-                subs[sub_id] = subs[sub_id]._replace(minimal_requirement=value)
-            elif value is None:
-                problems.append(
-                    f"sub_characteristics.{sub_id}.{field}: cannot be empty"
-                )
+            elif value is None and field != "minimal_requirement":
+                problems.append(f"{where}.{field}: cannot be empty")
             else:
                 subs[sub_id] = subs[sub_id]._replace(**{field: value})
 
@@ -367,18 +358,15 @@ def load_quality_model(source: str | Path | None = None) -> QualityModel:
         if not isinstance(tokens, list) or len(tokens) != len(LEVELS):
             problems.append(f"matrix.{sub_id}: expected a list of 5 demand tokens")
             continue
-        row = []
-        for level, token in zip(LEVELS, tokens):
-            demand = DEMAND_ALIASES.get(str(token))
-            if demand is None:
-                problems.append(
-                    f"matrix.{sub_id}: bad demand token {token!r} at level "
-                    f"{level} (expected one of -, min, full)"
-                )
-                break
-            row.append(demand)
+        row = tuple(DEMAND_ALIASES.get(str(token)) for token in tokens)
+        if None in row:
+            level = row.index(None) + 1
+            problems.append(
+                f"matrix.{sub_id}: bad demand token {quoted(tokens[level - 1])} at level "
+                f"{level} (expected one of -, min, full)"
+            )
         else:
-            matrix[sub_id] = tuple(row)
+            matrix[sub_id] = row
 
     if problems:
         raise ModelConfigError(problems)

@@ -42,7 +42,7 @@ from .errors import OverrideError, SnapshotError
 from .model import GAP_ALIASES, Gap, QualityModel
 from .percentiles import nearest_rank
 from .scoring import FleetStats, SystemUsage
-from .yamldoc import compose_yaml, load_yaml, load_yaml_records, read_text, sorted_keys
+from .yamldoc import compose_yaml, load_yaml, load_yaml_records, quoted, read_text, sorted_keys
 
 logger = logging.getLogger(__name__)
 
@@ -123,77 +123,66 @@ class ManualOverrides:
     extra: dict[str, GapEntry] = field(default_factory=dict)
 
 
-# token order is rung order for the enum rules: bottom rung first
+# token order is rung order for the enum rules: bottom rung first; the two
+# reviews have no rule
 _ENUM_FIELDS = {
     "retraining": RETRAINING_VALUES,
     "pipeline_automation": AUTOMATION_VALUES,
     "monitoring": MONITORING_VALUES,
     "metadata_logging": LOGGING_VALUES,
     "documentation": DOCUMENTATION_VALUES,
+    "readability": FULFILLMENT_VALUES,
+    "modularity": FULFILLMENT_VALUES,
 }
 _FRACTION_FIELDS = ("failed_pipeline_ratio_quarter", "test_coverage", "revenue_share")
-_NONNEGATIVE_FIELDS = (
-    "revenue",
-    "training_cost",
-    "inference_cost",
-    "training_duration",
-    "requests_per_day",
-    "dependent_consumers",
-)
 _COUNT_FIELDS = ("requests_per_day", "dependent_consumers")
+_AMOUNT_FIELDS = ("revenue", "training_cost", "inference_cost", "training_duration")
+_NUMBER_FIELDS = frozenset(_AMOUNT_FIELDS + _FRACTION_FIELDS + _COUNT_FIELDS)
 _TEXT_FIELDS = ("system_id", "team", "owner_team")
-# YAML reads integers of thousands of digits: a message quotes at most this
-# many characters of a value
-_QUOTE_LIMIT = 40
-
-
-def _quoted(value) -> str:
-    text = repr(value)
-    return text if len(text) <= _QUOTE_LIMIT else f"{text[:_QUOTE_LIMIT - 3]}..."
 
 
 def check_field(name: str, value, problems: list[str], where: str) -> bool:
-    """Validate one metadata field; append problems, return acceptance.
-
-    Also validates the usage facts file, whose fields share their names
-    with the registry's.
-    """
+    """Validate one field of a registry record, a usage facts file (whose
+    fields share their names with the registry's) or an override review;
+    append its problem as `<where>: <name> <problem>, got <value>` and
+    return acceptance."""
+    problem = None
     if name in _ENUM_FIELDS:
         if value not in _ENUM_FIELDS[name]:
-            problems.append(
-                f"{where}: {name} must be one of {', '.join(_ENUM_FIELDS[name])}, "
-                f"got {_quoted(value)}"
-            )
-            return False
-        return True
-    if name in _TEXT_FIELDS:
+            problem = f"must be one of {', '.join(_ENUM_FIELDS[name])}"
+    elif name in _TEXT_FIELDS:
         if not isinstance(value, str) or not value.strip():
-            problems.append(f"{where}: {name} must be non-empty text, got {_quoted(value)}")
-            return False
-        return True
-    if name in _FRACTION_FIELDS or name in _NONNEGATIVE_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"{where}: {name} must be a number, got {_quoted(value)}")
-            return False
-        # unlike math.isfinite, also refuses an integer too large for a float
-        if not abs(value) <= sys.float_info.max:
-            problems.append(f"{where}: {name} must be a finite number, got {_quoted(value)}")
-            return False
-        if value < 0:
-            problems.append(f"{where}: {name} must be >= 0, got {_quoted(value)}")
-            return False
-        if name in _FRACTION_FIELDS and value > 1:
-            problems.append(f"{where}: {name} must be within 0..1, got {_quoted(value)}")
-            return False
-        if name in _COUNT_FIELDS and value != int(value):
-            problems.append(f"{where}: {name} must be an integer, got {_quoted(value)}")
-            return False
-        return True
-    # remaining fields are booleans
-    if not isinstance(value, bool):
-        problems.append(f"{where}: {name} must be a boolean, got {_quoted(value)}")
-        return False
-    return True
+            problem = "must be non-empty text"
+    elif name not in _NUMBER_FIELDS:  # the remaining fields are booleans
+        if not isinstance(value, bool):
+            problem = "must be a boolean"
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        problem = "must be a number"
+    # unlike math.isfinite, also refuses an integer too large for a float
+    elif not abs(value) <= sys.float_info.max:
+        problem = "must be a finite number"
+    elif value < 0:
+        problem = "must be >= 0"
+    elif name in _FRACTION_FIELDS and value > 1:
+        problem = "must be within 0..1"
+    elif name in _COUNT_FIELDS and value != int(value):
+        problem = "must be an integer"
+    if problem is not None:
+        problems.append(f"{where}: {name} {problem}, got {quoted(value)}")
+    return problem is None
+
+
+def read_fields(mapping: dict, known, where: str) -> tuple[dict, list[str], list]:
+    """The fields of `mapping` named in `known` whose values `check_field`
+    accepts, the problems of the others, and the names `known` lacks, in
+    the order written. A null value means no evidence and is left out."""
+    values, problems, unknown = {}, [], []
+    for name, value in mapping.items():
+        if name not in known:
+            unknown.append(name)
+        elif value is not None and check_field(name, value, problems, where):
+            values[name] = value
+    return values, problems, unknown
 
 
 class _Entry(NamedTuple):
@@ -215,14 +204,7 @@ def _read_entry(index: int, item) -> _Entry:
     where = f"systems[{index}]"
     if not isinstance(item, dict):
         return _Entry(None, (f"{where}: expected a mapping",), ())
-    problems: list[str] = []
-    unknown = []
-    values = {}
-    for name, value in item.items():
-        if name not in _KNOWN_FIELDS:
-            unknown.append(name)
-        elif value is not None and check_field(name, value, problems, where):
-            values[name] = value
+    values, problems, unknown = read_fields(item, _KNOWN_FIELDS, where)
     if "system_id" not in values or "team" not in values:
         problems.append(f"{where}: system_id and team are required")
         return _Entry(None, tuple(problems), tuple(unknown))
@@ -243,7 +225,7 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
     if document.get("schema_version") != SCHEMA_VERSION:
         raise SnapshotError(
             f"snapshot must declare schema_version: {SCHEMA_VERSION}, "
-            f"got {_quoted(document.get('schema_version'))}"
+            f"got {quoted(document.get('schema_version'))}"
         )
     for key in sorted_keys(set(document) - {"schema_version", "snapshot_date", "systems"}):
         logger.warning("snapshot: ignoring unknown top-level field %r", key)
@@ -254,12 +236,12 @@ def load_registry_snapshot(source: str | Path) -> RegistrySnapshot:
             snapshot_date = dt.date.fromisoformat(snapshot_date)
         except ValueError as exc:
             raise SnapshotError(
-                f"snapshot_date must be a date, got {_quoted(snapshot_date)}"
+                f"snapshot_date must be a date, got {quoted(snapshot_date)}"
             ) from exc
     elif isinstance(snapshot_date, dt.datetime):
         snapshot_date = snapshot_date.date()
     elif snapshot_date is not None and not isinstance(snapshot_date, dt.date):
-        raise SnapshotError(f"snapshot_date must be a date, got {_quoted(snapshot_date)}")
+        raise SnapshotError(f"snapshot_date must be a date, got {quoted(snapshot_date)}")
 
     entries = document.get("systems")
     if not isinstance(entries, list):
@@ -645,14 +627,10 @@ def infer_gaps(
 
 
 def _parse_overrides_entry(raw: dict, where: str, problems: list[str]) -> ManualOverrides:
-    readability = raw.get("readability")
-    modularity = raw.get("modularity")
+    readability, modularity = raw.get("readability"), raw.get("modularity")
     for name, value in (("readability", readability), ("modularity", modularity)):
-        if value is not None and value not in FULFILLMENT_VALUES:
-            problems.append(
-                f"{where}: {name} must be one of {', '.join(FULFILLMENT_VALUES)}, "
-                f"got {_quoted(value)}"
-            )
+        if value is not None:
+            check_field(name, value, problems, where)
     extra: dict[str, GapEntry] = {}
     raw_extra = raw.get("extra") or {}
     if not isinstance(raw_extra, dict):
@@ -672,7 +650,7 @@ def _parse_overrides_entry(raw: dict, where: str, problems: list[str]) -> Manual
         # an unquoted `gap: no` reads as the boolean false
         gap = Gap.NO_GAP if token is False else GAP_ALIASES.get(str(token).lower())
         if gap is None:
-            problems.append(f"{where}: extra.{sub_id}: malformed gap token {_quoted(token)}")
+            problems.append(f"{where}: extra.{sub_id}: malformed gap token {quoted(token)}")
             continue
         extra[sub_id] = GapEntry(gap=gap, reason=str(pinned.get("reason", "")))
     for key in sorted_keys(set(raw) - {"readability", "modularity", "extra"}):
@@ -733,10 +711,8 @@ def load_overrides(source: str | Path | None) -> OverridesDocument:
     Top-level readability/modularity/extra apply to every system; entries
     under `systems` refine them for single systems.
     """
-    if source is None:
-        return OverridesDocument(defaults=ManualOverrides(), per_system={})
     text = read_text(source, OverrideError) if isinstance(source, Path) else source
-    document = load_yaml(text, OverrideError)
+    document = None if text is None else load_yaml(text, OverrideError)
     if document is None:
         return OverridesDocument(defaults=ManualOverrides(), per_system={})
     if not isinstance(document, dict):

@@ -24,8 +24,10 @@ whole-document parse builds level by level and may name a later one.
 
 from __future__ import annotations
 
+import datetime as dt
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 _STR, _SEQ = "tag:yaml.org,2002:str", "tag:yaml.org,2002:seq"
 
@@ -70,7 +72,34 @@ def load_yaml(text: str, error: Callable[[str], Exception]) -> Any:
     return load_yaml_records(text, None, error, None)
 
 
-def sorted_keys(keys: set) -> list:
+# YAML reads integers of thousands of digits: a message quotes at most this
+# many characters of a value
+_QUOTE_LIMIT = 40
+
+
+def quoted(value: Any) -> str:
+    """A parsed value as a message quotes it, cut to 40 characters."""
+    text = _spelled(value)
+    return text if len(text) <= _QUOTE_LIMIT else f"{text[:_QUOTE_LIMIT - 3]}..."
+
+
+def _spelled(value: Any, outer: tuple = ()) -> str:
+    """A date or timestamp in ISO form, as YAML writes it; a list or mapping
+    item by item; anything else by its repr."""
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    if not isinstance(value, (list, dict)):
+        return repr(value)
+    if any(value is seen for seen in outer):  # an alias to a node it is in
+        return "[...]" if isinstance(value, list) else "{...}"
+    spell = partial(_spelled, outer=outer + (value,))
+    if isinstance(value, list):
+        return f"[{', '.join(map(spell, value))}]"
+    items = map("{}: {}".format, map(spell, value), map(spell, value.values()))
+    return f"{{{', '.join(items)}}}"
+
+
+def sorted_keys(keys: Iterable) -> list:
     """A parsed mapping's keys: text sorted, then the rest by their text."""
     return sorted(keys, key=lambda key: (not isinstance(key, str), str(key)))
 

@@ -24,9 +24,10 @@ import mlquality
 from conftest import make_assessment
 from golden_fixtures import FLEET_AFTER, FLEET_BEFORE, persist_fleet
 from mlquality.cli import main
-from mlquality.errors import StoreError
+from mlquality.errors import OverrideError, SnapshotError, StoreError
 from mlquality.model import Gap, default_model
-from mlquality.scoring import evaluate
+from mlquality.registry import load_overrides, load_registry_snapshot
+from mlquality.scoring import SystemUsage, evaluate
 from mlquality.store import persist_assessment
 
 MODEL = default_model()
@@ -518,6 +519,119 @@ def test_assess_locates_usage_and_fleet_problems(
     ])
     assert code == 1
     assert capsys.readouterr().err == message.format(usage=usage_path) + "\n"
+    assert not store.exists()
+
+
+# per problem `check_field` words, a field and a value as a YAML file writes
+# it, with the message that follows `<where>: <field> `
+FIELD_PROBLEMS = {
+    "enum": ("retraining", "weekly", "must be one of none, manual, scheduled, got 'weekly'"),
+    "text": ("owner_team", "' '", "must be non-empty text, got ' '"),
+    "number": ("revenue_share", "high", "must be a number, got 'high'"),
+    "finite": ("requests_per_day", ".inf", "must be a finite number, got inf"),
+    "nonnegative": ("revenue_share", "-0.5", "must be >= 0, got -0.5"),
+    "fraction": ("revenue_share", "1.5", "must be within 0..1, got 1.5"),
+    "integer": ("dependent_consumers", "2.5", "must be an integer, got 2.5"),
+    "boolean": ("strategic", "[1]", "must be a boolean, got [1]"),
+}
+
+
+@pytest.mark.parametrize(
+    "caller, field, value, problem",
+    [
+        *[pytest.param("registry", *case, id=f"registry-{kind}")
+          for kind, case in FIELD_PROBLEMS.items()],
+        # a usage file holds no enum or text field
+        *[pytest.param("usage", *case, id=f"usage-{kind}")
+          for kind, case in FIELD_PROBLEMS.items() if case[0] in SystemUsage._fields],
+        # a review is an enum
+        pytest.param(
+            "overrides", "readability", "weekly",
+            "must be one of none, partial, full, got 'weekly'", id="overrides-enum",
+        ),
+        pytest.param(
+            "systems.s", "modularity", "[1]",
+            "must be one of none, partial, full, got [1]", id="system-overrides-enum",
+        ),
+    ],
+)
+def test_every_field_problem_is_framed_alike_in_every_caller(
+    tmp_path, gaps_csv, registry, capsys, caller, field, value, problem
+):
+    message = f"{field} {problem}"
+    if caller == "registry":
+        with pytest.raises(SnapshotError) as excinfo:
+            load_registry_snapshot(
+                f"schema_version: 1\nsystems:\n- {{system_id: s, team: t, {field}: {value}}}\n"
+            )
+        assert excinfo.value.problems == [f"systems[0]: {message}"]
+    elif caller == "usage":
+        usage = tmp_path / "usage.yaml"
+        usage.write_text(f"{field}: {value}\n")
+        code = main([
+            "assess", "--gaps", str(gaps_csv), "--team", "t", "--system", "s",
+            "--date", "2026-01-05", "--usage", str(usage), "--fleet", str(registry),
+            "--store", str(tmp_path / "store"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage file {usage}: {message}\n"
+    else:
+        text = f"{field}: {value}\n"
+        if caller != "overrides":
+            text = f"systems:\n  s: {{{text.strip()}}}\n"
+        with pytest.raises(OverrideError) as excinfo:
+            load_overrides(text)
+        assert excinfo.value.problems == [f"{caller}: {message}"]
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        (
+            "--registry",
+            "schema_version: 1\nsnapshot_date: [2026-01-01]\nsystems: []\n",
+            "snapshot_date must be a date, got [2026-01-01]",
+        ),
+        (
+            "--registry",
+            "schema_version: 1\nsnapshot_date: {day: 2026-01-01T10:30:00}\nsystems: []\n",
+            "snapshot_date must be a date, got {'day': 2026-01-01T10:30:00}",
+        ),
+        (
+            "--registry",
+            REGISTRY_YAML.replace("retraining: scheduled", "retraining: 2026-01-02"),
+            "systems[0]: retraining must be one of none, manual, scheduled, got 2026-01-02",
+        ),
+        (
+            "--overrides",
+            "readability: 2026-01-01\n",
+            "overrides: readability must be one of none, partial, full, got 2026-01-01",
+        ),
+        (
+            "--overrides",
+            "extra:\n  testability: {gap: 2026-01-01T10:30:00}\n",
+            "overrides: extra.testability: malformed gap token 2026-01-01T10:30:00",
+        ),
+        (
+            "--model",
+            "matrix:\n  testability: [2026-01-01, '-', min, min, full]\n",
+            "matrix.testability: bad demand token 2026-01-01 at level 1 "
+            "(expected one of -, min, full)",
+        ),
+    ],
+    ids=["date in a list", "timestamp in a mapping", "date as an enum", "date as a review",
+         "timestamp as a gap token", "date as a demand token"],
+)
+def test_infer_spells_dates_in_messages_as_written(tmp_path, registry, capsys, flag, text, message):
+    path = tmp_path / "input.yaml"
+    path.write_text(text)
+    inputs = {"--registry": str(registry), flag: str(path)}
+    store = tmp_path / "store"
+    argv = ["infer", "--store", str(store)]
+    for name, value in inputs.items():
+        argv += [name, value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"{message}\n"
     assert not store.exists()
 
 

@@ -209,6 +209,41 @@ def test_load_rejects_parent_change():
     assert any("parent" in p for p in excinfo.value.problems)
 
 
+@pytest.mark.parametrize(
+    "config, problems",
+    [
+        (
+            "sub_characteristics:\n"
+            "  testability:\n"
+            "    parent: utility\n"
+            "    minimal_requirement:\n"
+            "    owner: qa\n"
+            "    reasoning: 7\n"
+            "    full_requirement:\n",
+            [
+                "sub_characteristics.testability.parent: cannot be changed "
+                "(fixed to modifiability)",
+                "sub_characteristics.testability: unknown field owner",
+                "sub_characteristics.testability.reasoning: expected text",
+                "sub_characteristics.testability.full_requirement: cannot be empty",
+            ],
+        ),
+        (
+            "matrix:\n  testability: ['-', often, min, 7, full]\n",
+            [
+                "matrix.testability: bad demand token 'often' at level 2 "
+                "(expected one of -, min, full)",
+            ],
+        ),
+    ],
+    ids=["row fields", "two bad tokens"],
+)
+def test_load_lists_every_problem_in_order(config, problems):
+    with pytest.raises(ModelConfigError) as excinfo:
+        load_quality_model(config)
+    assert excinfo.value.problems == problems
+
+
 def test_load_rejects_unknown_section():
     with pytest.raises(ModelConfigError) as excinfo:
         load_quality_model("weights:\n  testability: 3\n")

@@ -304,3 +304,23 @@ def test_keys_that_are_not_text_follow_the_text_ones(monkeypatch, loader, tmp_pa
         "overrides: unknown field 1",
         f"usage file {path['usage']}: unknown fields: foo, 1",
     ]
+
+
+def test_quoted_spells_dates_and_collections_as_yaml_writes_them():
+    document = yaml.safe_load(
+        "a: 2026-01-02\n"
+        "b: 2026-01-02T10:30:00\n"
+        "c: [2026-01-02, x, 1.5, null, true]\n"
+        "d: {k: 2026-01-02}\n"
+        "e: &e [*e]\n"
+        "f: &f {k: *f}\n"
+    )
+    assert [yamldoc.quoted(value) for value in document.values()] == [
+        "2026-01-02",
+        "2026-01-02T10:30:00",
+        "[2026-01-02, 'x', 1.5, None, True]",
+        "{'k': 2026-01-02}",
+        "[[...]]",
+        "{'k': {...}}",
+    ]
+    assert yamldoc.quoted("x" * 50) == repr("x" * 50)[:37] + "..."
