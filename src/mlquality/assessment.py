@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import GapFileError
 from .model import GAP_ALIASES, Gap, QualityModel
+from .yamldoc import quoted
 
 if TYPE_CHECKING:
     from .scoring import BusinessCriticality
@@ -110,6 +111,11 @@ def parse_assessment(
             problems.append(f"line {line}: expected 3 columns, got {len(row)}")
             continue
         sub_id, token, reason = (cell.strip() for cell in row)
+        if not sub_id:
+            problems.append(
+                f"line {line}: sub_characteristic must be non-empty text, got {quoted(row[0])}"
+            )
+            continue
         if sub_id not in model:
             problems.append(f"line {line}: unknown sub-characteristic: {sub_id}")
             continue

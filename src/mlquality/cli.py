@@ -28,7 +28,6 @@ from .errors import (
     ModelConfigError,
     MultiProblemError,
     OverrideError,
-    StoreError,
 )
 from .model import QualityModel, load_quality_model, validate_model
 from .report import render_report
@@ -269,28 +268,13 @@ def cmd_fleet(args) -> int:
     _bind("analytics")
     if (args.before is None) != (args.after is None):
         raise UsageError("--before and --after must be given together")
-    store = _store_root(args)
-    rows, cohorts = fleet_scan(store, args.before, args.after)
-    if not rows:
-        raise MlQualityError(f"store {store} contains no assessments")
+    rows, cohorts = fleet_scan(_store_root(args), args.before, args.after)
     views = {
         "distribution.csv": distribution_csv(score_distribution(rows)),
         "trend.svg": render_trend_chart(rows),
     }
     if cohorts is not None:
-        before, after = cohorts
-        if not before or not after:
-            raise MlQualityError(
-                "before/after dates leave an empty cohort; nothing to compare"
-            )
-        for _, outcome in before + after:
-            if isinstance(outcome, StoreError):
-                raise outcome
-        compliance = compliance_from_masks(
-            [mask for _, mask in before],
-            [mask for _, mask in after],
-            names=[path for path, _ in before + after],
-        )
+        compliance = compliance_from_masks(*cohorts)
         views["compliance.csv"] = compliance_csv(compliance)
         views["compliance.svg"] = render_compliance_chart(compliance)
     # written only once every check has passed

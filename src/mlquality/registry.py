@@ -595,9 +595,6 @@ def infer_gaps(
             entry = _from_review(overrides.readability)
         elif sub_id == "modularity":
             entry = _from_review(overrides.modularity)
-        elif sub_id not in _RULES:
-            # a row this rule table does not know; stay conservative
-            entry = GapEntry(Gap.LARGE, "no inference rule for this sub-characteristic")
         else:
             _, read, judge = _RULES[sub_id]
             values = read(record)
@@ -654,7 +651,7 @@ def _parse_overrides_entry(raw: dict, where: str, problems: list[str]) -> Manual
         if not isinstance(reason, str):
             problems.append(f"{where}: extra.{sub_id}: reason must be text, got {quoted(reason)}")
             continue
-        extra[sub_id] = GapEntry(gap=gap, reason=reason)
+        extra[sub_id] = GapEntry(gap=gap, reason=reason.strip())
     for key in sorted_keys(set(raw) - {"readability", "modularity", "extra"}):
         problems.append(f"{where}: unknown field {key}")
     return ManualOverrides(readability=readability, modularity=modularity, extra=extra)

@@ -17,7 +17,8 @@ Readers walk `<team>/<system>/<date>` by directory listings alone, sorted
 by name, with no `stat` per snapshot, and open each `snapshot.json` once;
 a date directory without one is skipped silently, a corrupted one with a
 warning. `fleet_scan` gives `mlq fleet` its history rows and its cohorts,
-each pick's no-gap mask, from that one read.
+each pick's no-gap mask, from that one read, and raises every store
+failure the command reports.
 """
 
 from __future__ import annotations
@@ -393,9 +394,9 @@ def check_identity(root: str | Path, assessment: Assessment) -> None:
     such as `a b` and `a_b`, share a directory; a snapshot already in the
     target date directory that records another identity is refused rather
     than replaced. A snapshot that cannot be read, or whose team or system
-    is not text, records no identity (`_records`, as `load_assessment`
-    reads it) and may be replaced. Costs one failed open when the directory
-    holds no snapshot.
+    is not text, records no identity (`_records`, which unlike
+    `load_assessment` does not ask for the directory's date) and may be
+    replaced. Costs one failed open when the directory holds no snapshot.
     """
     snapshot = snapshot_path(root, assessment.team, assessment.system_id, assessment.date)
     try:
@@ -560,8 +561,10 @@ def load_assessment(
 ) -> AssessmentResult:
     """Load the stored result of this team and system; with no date, the
     latest one. A snapshot recording another team or system, as one of
-    `a_b` may in the directory of `a b`, is not theirs; one whose team or
-    system is not text is, so that its fault is reported.
+    `a_b` may in the directory of `a b`, or another date than its date
+    directory's name, as one moved there by hand may, is not theirs; one
+    whose team or system is not text, or whose date is not written as
+    YYYY-MM-DD, is, so that its fault is reported.
 
     When a model is supplied its fingerprint is compared against the one
     recorded in the snapshot; a mismatch logs a warning but still loads,
@@ -571,18 +574,18 @@ def load_assessment(
     if date is None:
         # one directory, as team and system are both given; newest first
         ((place, dates),) = _system_directories(root, team, system)
-        found = [os.path.join(place, name, SNAPSHOT_FILE) for name in reversed(dates)]
-        found = [path for path in found if os.path.exists(path)]
+        found = [(os.path.join(place, name, SNAPSHOT_FILE), name) for name in reversed(dates)]
+        found = [(path, name) for path, name in found if os.path.exists(path)]
         if not found:
             raise StoreError(f"not found: no assessments under {place}")
     else:
         place = snapshot_path(root, team, system, date)
-        found = [place]
-    for snapshot in found:
+        found = [(place, date.isoformat())]
+    for snapshot, name in found:
         if not os.path.isfile(snapshot):
             raise StoreError(f"not found: {snapshot}")
         payload = _read_snapshot(snapshot)
-        if _records(payload, team, system):
+        if _records(payload, team, system, name):
             break
     else:
         raise StoreError(
@@ -608,11 +611,18 @@ def load_assessment(
     return result
 
 
-def _records(payload: dict, team: str, system: str) -> bool:
-    """False only where `payload` records, as text, another team or system."""
+def _records(payload: dict, team: str, system: str, date: str | None = None) -> bool:
+    """False only where `payload` records, as text, another team or system,
+    or, given the name of its date directory, another date written as
+    YYYY-MM-DD; a date written otherwise is left for the decoder to report."""
     try:
         identity = payload["identity"]
-        return (_text(identity, "team"), _text(identity, "system")) == (team, system)
+        if (_text(identity, "team"), _text(identity, "system")) != (team, system):
+            return False
+        if date is None:
+            return True
+        recorded = identity["date"]
+        return recorded == date or dt.date.fromisoformat(recorded).isoformat() != recorded
     except (KeyError, TypeError, ValueError):
         return True
 
@@ -671,9 +681,6 @@ def history(
 # the attribute ids of one assessment in its own order, and a bit per
 # attribute, set when it has no gap
 GapMask = tuple[tuple[str, ...], int]
-# per cohort pick, in team/system order: its snapshot path, and its no-gap
-# mask or the StoreError `load_assessment` raises for it
-CohortPicks = list[tuple[str, GapMask | StoreError]]
 
 
 def no_gap_mask(assessment: Assessment) -> GapMask:
@@ -690,35 +697,33 @@ def no_gap_mask(assessment: Assessment) -> GapMask:
     return tuple(map(sys.intern, assessment.gaps)), mask
 
 
-def _outcome(load, *args) -> GapMask | StoreError:
-    """The no-gap mask of the result `load(*args)` gives, or its StoreError."""
-    try:
-        return no_gap_mask(load(*args).assessment)
-    except StoreError as exc:
-        return exc
-
-
 def fleet_scan(
     root: str | Path, before: dt.date | None = None, after: dt.date | None = None
-) -> tuple[list[HistoryRow], tuple[CohortPicks, CohortPicks] | None]:
+) -> tuple[list[HistoryRow], tuple[list[GapMask], list[GapMask], list[str]] | None]:
     """`history(root)`, plus the `mlq fleet` cohorts, reading each snapshot once.
 
-    The cohorts are None unless both dates are given, else (before, after):
-    per identity, in team/system order, its newest snapshot dated on or
-    before `before`, and its newest dated on or after `after` (the first
-    read of equal dates). Each pick is what `load_assessment` makes of
-    `snapshot_path(root, team, system, date)`: a no-gap mask, or a
-    StoreError. Only the directory being read keeps payloads: when it is
-    done, those still some identity's newest are rebuilt, and the outcome
-    is kept by identity and path. A pick read elsewhere (moved by hand, say)
-    is loaded after the scan; each path is rebuilt at most once per identity.
+    The cohorts are None unless both dates are given, else (before masks,
+    after masks, paths): per identity, in team/system order, the no-gap
+    mask of its newest snapshot dated on or before `before`, and of its
+    newest dated on or after `after` (the first read of equal dates), with
+    the path of each pick, before then after. Each pick is what
+    `load_assessment` makes of `snapshot_path(root, team, system, date)`.
+    Only the directory being read keeps payloads: when it is done, those
+    still some identity's newest are rebuilt, and the outcome is kept by
+    identity, date and path. A pick read elsewhere (moved by hand, say) is
+    loaded after the scan; each path is rebuilt at most once per identity.
+
+    Raises StoreError, in this order, when the store holds no assessment,
+    when a cohort is empty, and for the first pick, before then after, that
+    `load_assessment` refuses.
     """
     rows: list[HistoryRow] = []
     cohorts = before is not None and after is not None
     # per (cohort, team, system): the date and path of its newest snapshot so far
     newest: dict[tuple[bool, str, str], tuple[dt.date, str]] = {}
-    # by team, system and path: a path may hold another identity's snapshot
-    outcomes: dict[tuple[str, str, str], GapMask | StoreError] = {}
+    # by team, system, date and path: a path may hold another identity's
+    # snapshot, or one recording another date
+    outcomes: dict[tuple[str, str, dt.date, str], GapMask | StoreError] = {}
     for directory in _system_directories(root):
         # the payloads of this directory's candidates, by the key they lead
         fresh: dict[tuple[bool, str, str], tuple[str, dict]] = {}
@@ -733,27 +738,34 @@ def fleet_scan(
                 if member and (key not in newest or row.date > newest[key][0]):
                     newest[key] = row.date, path
                     fresh[key] = path, payload
-        for (_, team, system), (path, payload) in fresh.items():
-            if (team, system, path) not in outcomes:
-                outcomes[team, system, path] = _outcome(_checked_result, path, payload)
+        for key, (path, payload) in fresh.items():
+            held = (key[1], key[2], newest[key][0], path)
+            if held not in outcomes:
+                try:
+                    outcomes[held] = no_gap_mask(_checked_result(path, payload).assessment)
+                except StoreError as exc:
+                    outcomes[held] = exc
     rows.sort(key=_history_order)
+    if not rows:
+        raise StoreError(f"store {root} contains no assessments")
     if not cohorts:
         return rows, None
-
-    def pick(key: tuple[bool, str, str]) -> tuple[str, GapMask | StoreError]:
+    keys = sorted(newest)  # the before cohort, then the after one
+    split = sum(not key[0] for key in keys)
+    if not 0 < split < len(keys):
+        raise StoreError("before/after dates leave an empty cohort; nothing to compare")
+    masks, paths = [], []
+    for key in keys:
         _, team, system = key
-        date, read_at = newest[key]
-        try:
-            path = snapshot_path(root, team, system, date)
-        except StoreError as exc:
-            # not path-safe, so never stored under this identity
-            return read_at, exc
-        if (team, system, path) not in outcomes:
-            outcomes[team, system, path] = _outcome(load_assessment, root, team, system, date)
-        return path, outcomes[team, system, path]
-
-    picks = sorted(newest)
-    return rows, (
-        [pick(key) for key in picks if not key[0]],
-        [pick(key) for key in picks if key[0]],
-    )
+        date = newest[key][0]
+        # a name that is not path-safe raises: it was never stored as this identity
+        path = snapshot_path(root, team, system, date)
+        outcome = outcomes.get((team, system, date, path))
+        if outcome is None:
+            outcome = no_gap_mask(load_assessment(root, team, system, date).assessment)
+            outcomes[team, system, date, path] = outcome
+        if isinstance(outcome, StoreError):
+            raise outcome
+        masks.append(outcome)
+        paths.append(path)
+    return rows, (masks[:split], masks[split:], paths)

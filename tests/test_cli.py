@@ -302,6 +302,59 @@ def test_history_rows_read_back_as_csv(tmp_path, gaps_csv, capsys):
     assert out.endswith("\nsearch,ranker,2026-01-05,100,5\n")
 
 
+def test_assess_history_and_report_round_trip_non_ascii_names(tmp_path, gaps_csv, capsys):
+    store = tmp_path / "store"
+    identity = ["--team", "équipe", "--system", "système", "--store", str(store)]
+    assert main([
+        "assess", "--gaps", str(gaps_csv), "--date", "2026-01-05", "--criticality", "1",
+        *identity,
+    ]) == 0
+    report = store / "équipe" / "système" / "2026-01-05" / "report.html"
+    assessed = report.read_bytes()
+    capsys.readouterr()
+    assert main(["history", "--store", str(store)]) == 0
+    assert capsys.readouterr().out.endswith("\néquipe,système,2026-01-05,100,5\n")
+    assert main(["report", *identity]) == 0
+    assert capsys.readouterr().out == f"report: {report}\n"
+    assert report.read_bytes() == assessed
+
+
+def test_report_refuses_a_snapshot_moved_under_another_date(tmp_path, gaps_csv, capsys):
+    """A snapshot recording 2026-01-05 moved into 2026-01-01 is not the
+    2026-01-01 assessment, and `mlq report` never writes its report into
+    the directory of the date it records."""
+    store = tmp_path / "store"
+    system_dir = store / "t" / "s"
+    identity = ["--team", "t", "--system", "s", "--store", str(store)]
+
+    def assess(csv_text):
+        gaps_csv.write_text(csv_text)
+        assert main([
+            "assess", "--gaps", str(gaps_csv), "--date", "2026-01-05", "--criticality", "1",
+            *identity,
+        ]) == 0
+
+    assess(ALL_NO_CSV)
+    (system_dir / "2026-01-05").rename(system_dir / "2026-01-01")
+    capsys.readouterr()
+    assert main(["report", *identity]) == 1
+    assert capsys.readouterr().err == (
+        f"not found: {system_dir} holds no assessment of team 't' system 's'\n"
+    )
+    assert sorted(path.name for path in system_dir.iterdir()) == ["2026-01-01"]
+
+    assess(ALL_NO_CSV.replace(",no,", ",large,"))
+    report = system_dir / "2026-01-05" / "report.html"
+    assessed = report.read_bytes()
+    capsys.readouterr()
+    assert main(["report", *identity, "--date", "2026-01-01"]) == 1
+    moved = system_dir / "2026-01-01" / "snapshot.json"
+    assert capsys.readouterr().err == (
+        f"not found: {moved} holds no assessment of team 't' system 's'\n"
+    )
+    assert report.read_bytes() == assessed
+
+
 def test_fleet_outputs(tmp_path, registry, capsys):
     store = tmp_path / "store"
     main(["infer", "--registry", str(registry), "--store", str(store)])
@@ -827,6 +880,27 @@ def test_fleet_loads_a_hand_moved_pick_of_both_cohorts_once(
         "--before", "2026-07-01", "--after", "2026-07-01",
     ]) == code
     assert loads == [(store, "search", "ranker", dt.date(2026, 7, 1))]
+
+
+def test_fleet_refuses_a_pick_whose_directory_holds_another_date(tmp_path, gaps_csv):
+    """2026-01-01 and 2026-01-05 moved round by hand: the directory named
+    2026-01-01 holds the 2026-01-05 snapshot, which the scan read, but
+    `load_assessment` gives it for neither date, so neither does the fleet."""
+    store = tmp_path / "store"
+    for date in ("2026-01-01", "2026-01-05"):
+        assert main([
+            "assess", "--gaps", str(gaps_csv), "--team", "t", "--system", "s",
+            "--date", date, "--criticality", "1", "--store", str(store),
+        ]) == 0
+    system_dir = store / "t" / "s"
+    (system_dir / "2026-01-01").rename(system_dir / "2026-01-09")
+    (system_dir / "2026-01-05").rename(system_dir / "2026-01-01")
+    got, expected = _fleet_and_reference(
+        store, tmp_path / "fleet", dt.date(2026, 1, 3), dt.date(2026, 1, 4)
+    )
+    assert got == expected
+    moved = system_dir / "2026-01-01" / "snapshot.json"
+    assert got[:2] == (1, f"not found: {moved} holds no assessment of team 't' system 's'\n")
 
 
 def _mutate_snapshot(path, payload_edit):

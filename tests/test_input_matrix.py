@@ -80,7 +80,11 @@ ORACLE = {
     "model text": _MODEL_TEXT,
     # a null minimal requirement means the attribute has none
     "minimal requirement": _MODEL_TEXT | {"null": OK},
-    "csv id": dict.fromkeys(VALUES, "unknown sub-characteristic: {cell}"),
+    "csv id": dict.fromkeys(VALUES, "unknown sub-characteristic: {cell}") | {
+        "null": "sub_characteristic must be non-empty text, got ''",
+        "empty": "sub_characteristic must be non-empty text, got ''",
+        "blank": "sub_characteristic must be non-empty text, got '  '",
+    },
     "csv gap": dict.fromkeys(VALUES, "malformed gap token: {cell!r}") | {"zero": OK},
     "csv reason": dict.fromkeys(VALUES, OK),
 }
@@ -232,7 +236,8 @@ def test_every_input_field_is_kept_as_written_or_refused_where_it_is(
     elif fmt in ("overrides", "systems.s"):
         assert _stored_gap(store, name) == ("large", "no human review")
     elif fmt == "pin":
-        kept = ("no", "r") if name == "gap" else ("large", "" if parsed is None else parsed)
+        # a reason is kept without its surrounding blanks, as a CSV cell is
+        kept = ("no", "r") if name == "gap" else ("large", "" if parsed is None else parsed.strip())
         assert _stored_gap(store, PINNED) == kept
     elif fmt == "model":
         assert load_quality_model(path).sub(MODEL_ROW).minimal_requirement is None

@@ -441,6 +441,11 @@ def test_overrides_unquoted_no_gap_reads_as_no():
     assert document.defaults.extra["fairness"] == GapEntry(Gap.NO_GAP, "audited")
 
 
+def test_overrides_pin_reason_drops_surrounding_blanks():
+    document = load_overrides("extra:\n  fairness: {gap: no, reason: ' audited '}\n")
+    assert document.defaults.extra["fairness"] == GapEntry(Gap.NO_GAP, "audited")
+
+
 def test_overrides_boolean_true_gap_asks_for_quotes():
     with pytest.raises(OverrideError) as excinfo:
         load_overrides("extra:\n  fairness: {gap: yes, reason: audited}\n")

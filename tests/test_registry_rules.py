@@ -13,6 +13,7 @@ import datetime as dt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlquality import registry
 from mlquality.model import Gap, default_model
 from mlquality.registry import (
     AUTOMATION_VALUES,
@@ -311,6 +312,16 @@ RUNGS = [
 )
 def test_rung(sub_id, changes, gap, reason):
     assert pairs(record(**changes))[sub_id] == (gap, reason)
+
+
+def test_every_catalog_row_but_the_two_reviews_has_a_rule():
+    assert set(registry._RULES) | {"readability", "modularity"} == set(default_model().ids)
+
+
+def test_a_token_outside_the_fields_tokens_is_the_bottom_rung():
+    # only a hand-built record can hold one; a loaded registry refuses it
+    metadata = SystemMetadata(system_id="s", team="t", retraining="weekly")
+    assert pairs(metadata)["adaptability"] == (LARGE, "no retraining in place")
 
 
 def test_efficiency_formats_the_fleet_percentile():

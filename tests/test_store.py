@@ -10,6 +10,7 @@ import io
 import json
 import logging
 import os
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -574,10 +575,21 @@ def _glob_history(root: Path, team: str | None, system: str | None):
     return rows, warnings
 
 
+def _written_as_iso_date(value) -> bool:
+    if not isinstance(value, str) or not re.fullmatch(r"\d{4}-\d\d-\d\d", value):
+        return False
+    try:
+        dt.datetime.strptime(value, "%Y-%m-%d")
+    except ValueError:
+        return False
+    return True
+
+
 def _glob_latest(root: Path, team: str, system: str) -> str:
     """What `load_assessment` without a date gives over `_glob_snapshots`:
-    the newest snapshot that records this team and system as text, or one
-    whose team or system is not text."""
+    the newest snapshot that records this team and system as text, and as
+    its date the name of its date directory, or a date not written as
+    YYYY-MM-DD; or one whose team or system is not text."""
     try:
         system_dir = root / sanitize_component(team) / sanitize_component(system)
         candidates = _glob_snapshots(root, team, system)
@@ -591,8 +603,12 @@ def _glob_latest(root: Path, team: str, system: str) -> str:
             stored = [identity.get(key) for key in ("team", "system")] if isinstance(
                 identity, dict
             ) else None
-            if stored is None or stored == [team, system] or not all(
-                isinstance(name, str) for name in stored
+            if stored is None or not all(isinstance(name, str) for name in stored) or (
+                stored == [team, system]
+                and (
+                    identity.get("date") == candidate.parent.name
+                    or not _written_as_iso_date(identity.get("date"))
+                )
             ):
                 return repr(store._result_from_payload(payload))
         raise StoreError(
