@@ -99,7 +99,10 @@ def parse_assessment(
             "save it as UTF-8 without one"
         )
     reader = csv.reader(io.StringIO(csv_text))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a cell over the csv module's field size limit
+        raise GapFileError(f"line {reader.line_num}: {exc}") from None
     if not rows or tuple(cell.strip() for cell in rows[0]) != CSV_HEADER:
         raise GapFileError(
             "line 1: expected header 'sub_characteristic,gap,reason'"

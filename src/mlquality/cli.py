@@ -28,8 +28,9 @@ from .errors import (
     ModelConfigError,
     MultiProblemError,
     OverrideError,
+    StoreError,
 )
-from .model import QualityModel, load_quality_model, validate_model
+from .model import QualityModel, load_quality_model
 from .report import render_report
 from .scoring import (
     BusinessCriticality,
@@ -40,6 +41,7 @@ from .scoring import (
 )
 from .store import (
     REPORT_FILE,
+    HistoryRow,
     check_identity,
     date_directory,
     fleet_scan,
@@ -187,8 +189,11 @@ def _check_store_directories(store: Path, records, date: dt.date) -> None:
     """Refuse, before anything is written, records that would share a store
     directory with each other or with another identity already stored."""
     owners = {}
-    for record in records:
-        directory = date_directory(store, record.team, record.system_id, date)
+    for index, record in enumerate(records):
+        try:
+            directory = date_directory(store, record.team, record.system_id, date)
+        except StoreError as exc:
+            raise StoreError(f"systems[{index}]: {exc}") from None
         other = owners.setdefault(directory, record)
         if other is not record:
             raise MlQualityError(
@@ -259,8 +264,8 @@ def cmd_report(args) -> int:
 def cmd_history(args) -> int:
     rows = history(_store_root(args), team=args.team, system=args.system)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["team", "system", "date", "quality_score", "maturity"])
-    writer.writerows(rows)  # a `HistoryRow` holds those fields, in that order
+    writer.writerow(HistoryRow._fields)
+    writer.writerows(rows)
     return 0
 
 

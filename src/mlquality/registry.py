@@ -291,14 +291,12 @@ def fleet_percentiles(records: list[SystemMetadata]) -> FleetStats:
 
 
 def usage_from_metadata(record: SystemMetadata) -> SystemUsage:
-    """Usage facts for the criticality decision; absent evidence counts as
-    zero traffic, zero consumers and not strategic."""
-    return SystemUsage(
-        requests_per_day=record.requests_per_day or 0,
-        dependent_consumers=record.dependent_consumers or 0,
-        revenue_share=record.revenue_share or 0.0,
-        strategic=bool(record.strategic),
-        in_production=bool(record.in_production),
+    """Usage facts for the criticality decision, read from the record's
+    fields of the same names. Absent evidence takes `SystemUsage`'s
+    default: zero traffic, zero consumers, no revenue, not strategic and
+    not in production."""
+    return SystemUsage._make(
+        getattr(record, name) or default for name, default in SystemUsage._field_defaults.items()
     )
 
 

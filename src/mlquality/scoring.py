@@ -15,10 +15,10 @@ be evaluated in parallel without shared state.
 from __future__ import annotations
 
 from enum import Enum, IntEnum
-from typing import NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .assessment import Assessment, check_gaps_total
-from .model import LEVELS, Characteristic, QualityModel, SubCharacteristic
+from .model import LEVELS, Characteristic, Gap, QualityModel, SubCharacteristic
 
 
 class CriticalityLevel(IntEnum):
@@ -96,10 +96,14 @@ class AssessmentResult(NamedTuple):
     recommendations: tuple[Recommendation, ...]
 
 
+def gap_score(gaps: Collection[Gap]) -> int:
+    """The score of a set of attributes from their gaps, at least one:
+    floor(100 * (1 - gap_sum / (2 * gap_count))), in exact integer math."""
+    return 100 * (2 * len(gaps) - sum(gaps)) // (2 * len(gaps))
+
+
 def _floor_score(assessment: Assessment, rows: tuple[SubCharacteristic, ...]) -> int:
-    # floor(100 * (1 - gap_sum / (2 * row_count))), in exact integer math
-    gap_sum = sum(assessment.gap(sub.id) for sub in rows)
-    return 100 * (2 * len(rows) - gap_sum) // (2 * len(rows))
+    return gap_score([assessment.gap(sub.id) for sub in rows])
 
 
 def _characteristic_scores(
@@ -165,7 +169,8 @@ def determine_criticality(usage: SystemUsage, fleet: FleetStats) -> BusinessCrit
     is critical when any one condition holds, checked in a fixed order:
     request volume strictly above the fleet's 66th percentile, more than
     four dependent consumers, revenue share strictly above 1%, or strategic
-    importance. The justification names the first condition that fired.
+    importance. The justification names the first condition that fired;
+    a production system that meets none is non-critical.
     """
     if not usage.in_production:
         return BusinessCriticality(
@@ -173,38 +178,22 @@ def determine_criticality(usage: SystemUsage, fleet: FleetStats) -> BusinessCrit
             justification="system under experimentation, not in production",
         )
     if usage.requests_per_day > fleet.requests_p66:
-        return BusinessCriticality(
-            level=CriticalityLevel.PRODUCTION_CRITICAL,
-            justification=(
-                f"requests per day ({usage.requests_per_day}) above the 66th "
-                f"percentile of production systems ({fleet.requests_p66})"
-            ),
+        justification = (
+            f"requests per day ({usage.requests_per_day}) above the 66th "
+            f"percentile of production systems ({fleet.requests_p66})"
         )
-    if usage.dependent_consumers > 4:
+    elif usage.dependent_consumers > 4:
+        justification = f"more than four dependent teams or products ({usage.dependent_consumers})"
+    elif usage.revenue_share > 0.01:
+        justification = f"revenue share ({usage.revenue_share:.2%}) above 1% of yearly revenue"
+    elif usage.strategic:
+        justification = "flagged as strategically important"
+    else:
         return BusinessCriticality(
-            level=CriticalityLevel.PRODUCTION_CRITICAL,
-            justification=(
-                f"more than four dependent teams or products "
-                f"({usage.dependent_consumers})"
-            ),
+            level=CriticalityLevel.PRODUCTION_NON_CRITICAL,
+            justification="production system with no criticality condition met",
         )
-    if usage.revenue_share > 0.01:
-        return BusinessCriticality(
-            level=CriticalityLevel.PRODUCTION_CRITICAL,
-            justification=(
-                f"revenue share ({usage.revenue_share:.2%}) above 1% of "
-                "yearly revenue"
-            ),
-        )
-    if usage.strategic:
-        return BusinessCriticality(
-            level=CriticalityLevel.PRODUCTION_CRITICAL,
-            justification="flagged as strategically important",
-        )
-    return BusinessCriticality(
-        level=CriticalityLevel.PRODUCTION_NON_CRITICAL,
-        justification="production system with no criticality condition met",
-    )
+    return BusinessCriticality(CriticalityLevel.PRODUCTION_CRITICAL, justification)
 
 
 def required_maturity(criticality: BusinessCriticality) -> int:
@@ -251,20 +240,27 @@ def recommendations(
 ) -> tuple[Recommendation, ...]:
     """One remediation entry per non-green attribute.
 
-    Ordered red before orange before yellow, ties broken by catalog row
-    order, so the list is deterministic.
+    Ordered red before orange before yellow, ties broken by the
+    assessment's row order (catalog row order, as `parse_assessment` and
+    `infer_gaps` build it), so the list is deterministic and is what the
+    store derives again from the stored gap rows.
     """
-    gapped = [sub_id for sub_id in model.ids if colors[sub_id] is not GapColor.GREEN]
-    # stable sort: ties keep catalog row order
-    gapped.sort(key=lambda sub_id: _SEVERITY[colors[sub_id]])
     return tuple(
         Recommendation(
             sub_characteristic=sub_id,
             reason=assessment.reason(sub_id),
             remediation=model.remediation_texts.get(sub_id, ""),
         )
-        for sub_id in gapped
+        for sub_id in remediation_order(assessment.gaps, colors)
     )
+
+
+def remediation_order(ids: Iterable[str], colors: dict[str, GapColor]) -> list[str]:
+    """The non-green attributes among `ids`, most urgent color first, ties
+    kept in the order of `ids`."""
+    gapped = [sub_id for sub_id in ids if colors[sub_id] is not GapColor.GREEN]
+    gapped.sort(key=lambda sub_id: _SEVERITY[colors[sub_id]])
+    return gapped
 
 
 def evaluate(assessment: Assessment, model: QualityModel) -> AssessmentResult:

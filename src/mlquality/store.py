@@ -33,6 +33,7 @@ import sys
 from pathlib import Path
 from typing import Collection, Iterator, NamedTuple, Sequence
 
+from . import catalog
 from .assessment import Assessment, GapEntry, serialize_assessment
 from .errors import StoreError
 from .model import LEVELS, Characteristic, Gap, QualityModel
@@ -43,6 +44,8 @@ from .scoring import (
     CriticalityLevel,
     GapColor,
     Recommendation,
+    gap_score,
+    remediation_order,
 )
 
 logger = logging.getLogger(__name__)
@@ -75,10 +78,17 @@ def sanitize_component(name: str) -> str:
     """Make an identity component safe to use as a directory name.
 
     Path separators and whitespace runs become single underscores; the
-    original name is preserved inside the snapshot.
+    original name is preserved inside the snapshot. A name longer than 255
+    bytes in UTF-8, the most a file system on Linux or macOS takes for one
+    directory name, is refused.
     """
     cleaned = re.sub(r"[\s/\\]+", "_", name.strip())
-    if not cleaned or cleaned in (".", "..") or "\x00" in cleaned:
+    if (
+        not cleaned
+        or cleaned in (".", "..")
+        or "\x00" in cleaned
+        or len(cleaned.encode("utf-8", "surrogatepass")) > 255
+    ):
         raise StoreError(f"identity component {name!r} is not path-safe")
     return cleaned
 
@@ -294,6 +304,50 @@ def _history_row(payload: dict) -> HistoryRow:
     return row
 
 
+# each catalog attribute's characteristic, which no model config can change
+_CHARACTERISTIC_OF = {row[0]: Characteristic(row[1]) for row in catalog.DEFAULT_ROWS}
+
+
+def _check_derived(
+    quality_score: int,
+    scores: dict[Characteristic, int],
+    gaps: dict[str, GapEntry],
+    colors: dict[str, GapColor],
+    recommendations: tuple[Recommendation, ...],
+) -> None:
+    """Refuse scores and recommendations that do not follow from the gap
+    rows: `gap_score` over all rows and over each characteristic's rows (an
+    attribute the catalog does not hold is in none), and `remediation_order`
+    of the rows, each with its gap's reason. Remediation texts go unchecked."""
+    rows: dict[Characteristic, list[Gap]] = {characteristic: [] for characteristic in scores}
+    for sub_id, entry in gaps.items():
+        if sub_id in _CHARACTERISTIC_OF:
+            rows[_CHARACTERISTIC_OF[sub_id]].append(entry.gap)
+    stated = [("quality_score", quality_score, [entry.gap for entry in gaps.values()])]
+    stated += [
+        (f"characteristic_scores {characteristic.value}", score, rows[characteristic])
+        for characteristic, score in scores.items()
+    ]
+    for field, score, values in stated:
+        if not values:
+            raise ValueError(f"{field} has no gap row to score")
+        if score != gap_score(values):
+            raise ValueError(f"{field} {score} is not {gap_score(values)}, the score of its gaps")
+    listed = [rec.sub_characteristic for rec in recommendations]
+    order = remediation_order(gaps, colors)
+    if listed != order:
+        raise ValueError(
+            f"recommendations {', '.join(listed) or 'none'} are not "
+            f"{', '.join(order) or 'none'}, the non-green attributes by urgency"
+        )
+    for index, rec in enumerate(recommendations):
+        reason = gaps[rec.sub_characteristic].reason
+        if rec.reason != reason:
+            raise ValueError(
+                f"recommendations[{index}] reason {rec.reason!r} is not its gap's reason {reason!r}"
+            )
+
+
 def _result_from_payload(payload: dict) -> AssessmentResult:
     listed = _history_row(payload)
     family = _rows(payload["identity"], "family_members")
@@ -338,6 +392,7 @@ def _result_from_payload(payload: dict) -> AssessmentResult:
         for row in _rows(payload, "recommendations")
     )
     _only_written_keys(payload)
+    _check_derived(listed.quality_score, scores, gaps, colors, recommendations)
     assessment = Assessment(
         team=listed.team,
         system_id=listed.system,

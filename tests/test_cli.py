@@ -25,9 +25,9 @@ from conftest import make_assessment
 from golden_fixtures import FLEET_AFTER, FLEET_BEFORE, persist_fleet
 from mlquality.cli import main
 from mlquality.errors import OverrideError, SnapshotError, StoreError
-from mlquality.model import Gap, default_model
+from mlquality.model import GAP_ALIASES, Characteristic, Gap, default_model
 from mlquality.registry import load_overrides, load_registry_snapshot
-from mlquality.scoring import SystemUsage, evaluate
+from mlquality.scoring import GapColor, SystemUsage, evaluate, gap_score
 from mlquality.store import persist_assessment
 
 MODEL = default_model()
@@ -448,6 +448,23 @@ def test_validate_checks_gaps_csv(tmp_path, gaps_csv, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(ALL_NO_CSV.replace("fairness,no,verified", "fairness,small,x"))
     assert main(["validate", "--gaps", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("command", ["assess", "validate"])
+def test_gaps_cell_over_the_csv_field_limit_is_located(tmp_path, capsys, command):
+    gaps = tmp_path / "gaps.csv"
+    gaps.write_text(ALL_NO_CSV.replace("verified", "x" * 200_000, 1))
+    store = tmp_path / "store"
+    argv = {
+        "assess": [
+            "assess", "--team", "t", "--system", "s", "--date", "2026-01-05",
+            "--criticality", "3", "--store", str(store),
+        ],
+        "validate": ["validate"],
+    }[command]
+    assert main([*argv, "--gaps", str(gaps)]) == 1
+    assert capsys.readouterr().err == "line 2: field larger than field limit (131072)\n"
+    assert not store.exists()
 
 
 @pytest.mark.parametrize(
@@ -908,6 +925,34 @@ def _mutate_snapshot(path, payload_edit):
     path.write_text(json.dumps(payload_edit(payload)))
 
 
+def _rederived(payload):
+    """`payload` with its scores and recommendations derived again from its
+    gap and color rows, so that an edit of those rows alone stays
+    consistent: an attribute the catalog does not hold counts in the
+    quality score only, and a recommendation keeps its remediation text."""
+    gaps = {row["sub_characteristic"]: GAP_ALIASES[row["gap"]] for row in payload["gaps"]}
+    reasons = {row["sub_characteristic"]: row["reason"] for row in payload["gaps"]}
+    colors = {row["sub_characteristic"]: GapColor(row["color"]) for row in payload["colors"]}
+    parent = {sub.id: sub.characteristic.value for sub in MODEL.sub_characteristics}
+    advice = {row["sub_characteristic"]: row["remediation"] for row in payload["recommendations"]}
+    gapped = [sub_id for sub_id in gaps if colors[sub_id] is not GapColor.GREEN]
+    return {
+        **payload,
+        "quality_score": gap_score(list(gaps.values())),
+        "characteristic_scores": [
+            {**row, "score": gap_score(
+                [gap for sub_id, gap in gaps.items() if parent.get(sub_id) == row["characteristic"]]
+            )}
+            for row in payload["characteristic_scores"]
+        ],
+        "recommendations": [
+            {"sub_characteristic": sub_id, "reason": reasons[sub_id],
+             "remediation": advice.get(sub_id, "")}
+            for sub_id in sorted(gapped, key=lambda sub_id: list(GapColor).index(colors[sub_id]))
+        ],
+    }
+
+
 # hand edits that `mlq report` rejects; those in HISTORY_READABLE keep the
 # snapshot readable by `mlq history`, the others do not
 MALFORMED_EDITS = [
@@ -1095,6 +1140,62 @@ MALFORMED_EDITS = [
         "ValueError: reason holds a lone surrogate, which UTF-8 cannot encode",
         id="surrogate reason",
     ),
+    # scores and recommendations follow from the gap and color rows
+    pytest.param(
+        lambda payload: {**payload, "quality_score": 101},
+        "ValueError: quality_score 101 is not in 0..100",
+        id="score above 100",
+    ),
+    pytest.param(
+        lambda payload: {
+            **payload,
+            "characteristic_scores": [
+                {**payload["characteristic_scores"][0], "score": 101},
+                *payload["characteristic_scores"][1:],
+            ],
+        },
+        "ValueError: score 101 is not in 0..100",
+        id="characteristic score above 100",
+    ),
+    pytest.param(
+        lambda payload: {**payload, "quality_score": 3},
+        "ValueError: quality_score 3 is not 90, the score of its gaps",
+        id="changed score",
+    ),
+    pytest.param(
+        lambda payload: {
+            **payload,
+            "characteristic_scores": [
+                {**payload["characteristic_scores"][0], "score": 3},
+                *payload["characteristic_scores"][1:],
+            ],
+        },
+        "ValueError: characteristic_scores utility 3 is not 100, the score of its gaps",
+        id="changed characteristic score",
+    ),
+    pytest.param(
+        lambda payload: {**payload, "recommendations": payload["recommendations"][1:]},
+        "ValueError: recommendations maintainability, readability are not "
+        "modularity, maintainability, readability, the non-green attributes by urgency",
+        id="dropped recommendation",
+    ),
+    pytest.param(
+        lambda payload: {**payload, "recommendations": payload["recommendations"][::-1]},
+        "ValueError: recommendations readability, maintainability, modularity are not "
+        "modularity, maintainability, readability, the non-green attributes by urgency",
+        id="reordered recommendations",
+    ),
+    pytest.param(
+        lambda payload: {
+            **payload,
+            "recommendations": [
+                *({**row, "reason": "other"} for row in payload["recommendations"][:1]),
+                *payload["recommendations"][1:],
+            ],
+        },
+        "ValueError: recommendations[0] reason 'other' is not its gap's reason 'no human review'",
+        id="recommendation reason",
+    ),
 ]
 HISTORY_READABLE = {
     "gap token",
@@ -1118,6 +1219,12 @@ HISTORY_READABLE = {
     "added top-level key",
     "added row key",
     "surrogate reason",
+    "characteristic score above 100",
+    "changed score",
+    "changed characteristic score",
+    "dropped recommendation",
+    "reordered recommendations",
+    "recommendation reason",
 }
 
 
@@ -1156,7 +1263,9 @@ def test_report_with_a_model_the_snapshot_does_not_cover_exits_1(
     snapshot = store / "search" / "ranker" / "2026-07-01" / "snapshot.json"
     _mutate_snapshot(
         snapshot,
-        lambda payload: {**payload, **{key: edit(payload[key]) for key in ("gaps", "colors")}},
+        lambda payload: _rederived(
+            {**payload, **{key: edit(payload[key]) for key in ("gaps", "colors")}}
+        ),
     )
     model = tmp_path / "model.yaml"
     model.write_text("sub_characteristics: {testability: {remediation: Other text}}\n")
@@ -1176,6 +1285,37 @@ def test_report_with_a_model_the_snapshot_does_not_cover_exits_1(
         "report", "--store", str(store), "--team", "search", "--system", "ranker",
         "--out", str(out),
     ]) == 0
+
+
+def test_report_on_snapshot_scoring_a_characteristic_without_rows_exits_1(
+    tmp_path, registry, capsys
+):
+    """economy's two rows dropped, the quality score derived again: nothing
+    is left to derive economy's score from."""
+    store = tmp_path / "store"
+    main(["infer", "--registry", str(registry), "--store", str(store)])
+    snapshot = store / "search" / "ranker" / "2026-07-01" / "snapshot.json"
+    economy = {sub.id for sub in MODEL.rows_of(Characteristic.ECONOMY)}
+
+    def without_economy(payload):
+        kept = {
+            key: [row for row in payload[key] if row["sub_characteristic"] not in economy]
+            for key in ("gaps", "colors")
+        }
+        scores = [
+            row for row in payload["characteristic_scores"] if row["characteristic"] != "economy"
+        ]
+        rederived = _rederived({**payload, **kept, "characteristic_scores": scores})
+        return {**rederived, "characteristic_scores": payload["characteristic_scores"]}
+
+    _mutate_snapshot(snapshot, without_economy)
+    capsys.readouterr()
+    code = main(["report", "--store", str(store), "--team", "search", "--system", "ranker"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"malformed snapshot {snapshot}: "
+        "ValueError: characteristic_scores economy has no gap row to score\n"
+    )
 
 
 def _reference_fleet(store, before, after):
@@ -1323,13 +1463,13 @@ def test_fleet_rejects_cohort_members_assessing_other_attributes(
     main(["infer", "--registry", str(registry), "--store", str(store)])
 
     def without_accuracy(payload):
-        return {
+        return _rederived({
             **payload,
             **{
                 key: [row for row in payload[key] if row["sub_characteristic"] != "accuracy"]
                 for key in ("gaps", "colors")
             },
-        }
+        })
 
     _mutate_snapshot(store / victim / "2026-07-01" / "snapshot.json", without_accuracy)
     capsys.readouterr()
@@ -1880,6 +2020,45 @@ def test_infer_checks_every_stored_identity_before_writing(tmp_path, capsys):
     assert "holds team 'supply' system 'x y'; team 'supply' system 'x_y'" in captured.err
     assert captured.out == ""
     assert _store_files(store) == before
+
+
+@pytest.mark.parametrize("name", ["x" * 300, ".."], ids=["too long", "dot dot"])
+def test_infer_names_the_record_a_store_directory_cannot_hold_before_writing(
+    tmp_path, capsys, name
+):
+    registry = tmp_path / "snapshot.yaml"
+    registry.write_text(REGISTRY_YAML.replace("system_id: forecaster", f'system_id: "{name}"'))
+    store = tmp_path / "store"
+    code = main(["infer", "--registry", str(registry), "--store", str(store)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"systems[1]: identity component {name!r} is not path-safe\n"
+    assert captured.out == ""
+    assert not store.exists()
+
+
+def test_assess_with_a_system_name_too_long_for_a_directory_writes_nothing(
+    tmp_path, gaps_csv, capsys
+):
+    store = tmp_path / "store"
+    code = main([
+        "assess", "--gaps", str(gaps_csv), "--team", "t", "--system", "x" * 300,
+        "--date", "2026-01-05", "--criticality", "3", "--store", str(store),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"identity component {'x' * 300!r} is not path-safe\n"
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("name", ["x" * 300, ".."], ids=["too long", "dot dot"])
+def test_history_of_a_system_name_no_directory_can_hold_lists_nothing(
+    tmp_path, registry, capsys, name
+):
+    store = tmp_path / "store"
+    assert main(["infer", "--registry", str(registry), "--store", str(store)]) == 0
+    capsys.readouterr()
+    assert main(["history", "--store", str(store), "--system", name]) == 0
+    assert capsys.readouterr() == ("team,system,date,quality_score,maturity\n", "")
 
 
 def test_infer_checks_every_extra_pin_before_writing(tmp_path, registry, capsys):

@@ -75,7 +75,10 @@ def test_identity_sanitization_keeps_original_names(model, tmp_path):
 def test_sanitize_component_rejects_unsafe_names():
     assert sanitize_component("a/b") == "a_b"
     assert sanitize_component("two  words") == "two_words"
-    for bad in ("", "   ", ".", ".."):
+    # a directory name holds at most 255 bytes
+    assert sanitize_component("x" * 255) == "x" * 255
+    assert sanitize_component("\u00e9" * 127 + "x") == "\u00e9" * 127 + "x"
+    for bad in ("", "   ", ".", "..", "x" * 256, "\u00e9" * 128):
         with pytest.raises(StoreError):
             sanitize_component(bad)
 
@@ -86,6 +89,23 @@ def test_load_round_trips_the_result(model, tmp_path):
     )
     loaded = load_assessment(tmp_path, "search", "ranker", date=dt.date(2026, 1, 5))
     assert loaded == result
+
+
+def test_load_round_trips_an_assessment_whose_rows_are_out_of_catalog_order(model, tmp_path):
+    """Two red rows, given last-first: the store reads back the
+    recommendation order it wrote, which follows the assessment's rows."""
+    built = make_assessment(model, {"accuracy": Gap.LARGE, "fairness": Gap.LARGE})
+    assessment = Assessment(
+        team=built.team,
+        system_id=built.system_id,
+        date=built.date,
+        gaps=dict(reversed(built.gaps.items())),
+        criticality=built.criticality,
+    )
+    result = evaluate(assessment, model)
+    assert [rec.sub_characteristic for rec in result.recommendations] == ["fairness", "accuracy"]
+    persist_assessment(tmp_path, result, model)
+    assert load_assessment(tmp_path, "search", "ranker") == result
 
 
 def test_load_then_render_matches_stored_report(model, tmp_path):
